@@ -8,14 +8,19 @@ which makes repeated runs bitwise identical.
 Supported operation kinds: matmul, add, scalar multiply, elementwise
 multiply, relu, exp, mean, sum, concat, L2-normalize, reshape, transpose,
 2-D convolution, 2-D average pooling, softmax cross-entropy with logits.
+
+Finiteness invariant: `_make` rejects any op output holding NaN or Inf,
+and ops check only their leaf inputs (tensors with no parents) on entry.
+This suffices because op outputs are never mutated after creation; the
+only in-place writes go to Parameters, which are leaves.  A non-finite
+value is therefore reported by the op that produced it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatchError(ValueError):
@@ -208,7 +213,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, kind: str) ->
 
 def _check_inputs(kind: str, *tensors: Tensor) -> None:
     for t in tensors:
-        _check_finite(t.data, kind, "input")
+        if not t._parents:
+            _check_finite(t.data, kind, "input")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -394,8 +400,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     """Direct 2-D convolution (cross-correlation), NCHW layout.
 
     x: (N, C, H, W); w: (F, C, kh, kw); b: (F,) or None.
-    Implemented via im2col + matmul; images here are tiny so this is
-    plenty fast without FFT.
+    Implemented as one GEMM over a channel-major im2col matrix `colsT` of
+    shape (C*kh*kw, N*Ho*Wo), filled by kh*kw block copies from a padded
+    (C, N, H+2p, W+2p) buffer, so the product is already (F, N, Ho, Wo).
+    Backward is two GEMMs plus a col2im of kh*kw block adds, in the same
+    (i, j) order as a window-by-window scatter.  The GEMMs take their
+    operands in the opposite roles to a row-major (N*Ho*Wo, C*kh*kw)
+    im2col; blocked BLAS kernels round both the same, but small products
+    that BLAS sends to size-specific kernels may differ in the last bit.
     """
     _check_inputs("conv2d", x, w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
@@ -412,42 +424,56 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     if ho < 1 or wo < 1:
         raise ShapeMismatchError("conv2d", x.shape, w.shape)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    xpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
+    xpT[:, :, p : p + h, p : p + wd] = x.data.transpose(1, 0, 2, 3)
+    colsT = np.empty((c, kh, kw, n, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            colsT[:, i, j] = xpT[:, :, i : i + s * ho : s, j : j + s * wo : s]
+    colsT = colsT.reshape(c * kh * kw, n * ho * wo)
     wmat = w.data.reshape(f, -1)
-    out = cols @ wmat.T
+    out = wmat @ colsT
     if b is not None:
-        out = out + b.data
-    data = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+        out += b.data[:, None]
+    data = out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(g):
+        # (N*Ho*Wo, F) rows keep the bias reduction in its row-by-row order
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        w._accumulate((gmat.T @ cols).reshape(w.shape))
+        w._accumulate((colsT @ gmat).T.reshape(w.shape))
         if b is not None:
             b._accumulate(gmat.sum(axis=0))
-        gcols = gmat @ wmat
-        gwin = gcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+        if not x.requires_grad:
+            return
+        gcolsT = (wmat.T @ gmat.T).reshape(c, kh, kw, n, ho, wo)
+        gxpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += gwin[:, :, :, :, i, j]
-        x._accumulate(gxp[:, :, p : p + h, p : p + wd] if p else gxp)
+                gxpT[:, :, i : i + s * ho : s, j : j + s * wo : s] += gcolsT[:, i, j]
+        x._accumulate(gxpT[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward, "conv2d")
 
 
 def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping k-by-k average pooling; extents must divide by k."""
+    """Non-overlapping 2-by-2 average pooling; extents must be even.
+
+    Each window sums as ((x00 + x01) + (x10 + x11)) / 4.  That is the
+    order numpy's `mean` over the two window axes uses for widths above
+    2, so values match it bitwise there; at width 2 numpy sums left to
+    right instead.
+    """
+    if k != 2:
+        raise ValueError(f"avg_pool2d: only k = 2 is supported, got {k}")
     _check_inputs("avg_pool2d", x)
-    if x.data.ndim != 4 or x.shape[2] % k or x.shape[3] % k:
-        raise ShapeMismatchError("avg_pool2d", x.shape, (k, k))
-    n, c, h, w = x.shape
-    data = x.data.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    if x.data.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeMismatchError("avg_pool2d", x.shape, (2, 2))
+    a = x.data
+    data = ((a[:, :, 0::2, 0::2] + a[:, :, 0::2, 1::2]) + (a[:, :, 1::2, 0::2] + a[:, :, 1::2, 1::2])) / 4
 
     def backward(g):
-        x._accumulate(np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k))
+        x._accumulate(np.repeat(np.repeat(g / 4, 2, axis=3), 2, axis=2))
 
     return _make(data, (x,), backward, "avg_pool2d")
 
@@ -481,7 +507,3 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     return _make(data, (logits,), backward, "softmax_cross_entropy")
 
-
-def parameters_of(tensors: Iterable[Tensor]) -> list[Parameter]:
-    """Flatten helper: keep only Parameter instances, in input order."""
-    return [t for t in tensors if isinstance(t, Parameter)]

@@ -183,6 +183,19 @@ def save_training_checkpoint(path, fw: _FrameworkBase, opt: SGD,
     save_checkpoint(path, _framework_state(fw, opt), meta)
 
 
+def _truncate_metrics(path: Path, global_step: int) -> None:
+    """Keep the header and the rows of steps before ``global_step``.
+
+    Resuming re-runs every step from the checkpoint on, so rows that an
+    earlier run wrote past the checkpoint would otherwise appear twice.
+    A last line cut short by a crash is dropped with them.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [ln for ln in lines[1:]
+            if ln.endswith("\n") and int(ln.split(",", 1)[0]) < global_step]
+    path.write_text("".join(lines[:1] + rows), encoding="utf-8")
+
+
 def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
              out_dir, resume=None, log=None) -> TrainResult:
     """Run the configured pretraining and return the trained framework.
@@ -190,7 +203,8 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
     Writes ``metrics.csv`` (header plus one row per executed step) and a
     final ``checkpoint.hcl`` under ``out_dir``.  ``resume`` names an
     earlier checkpoint; training continues from its epoch boundary and
-    produces rows identical to the uninterrupted run.
+    produces rows identical to the uninterrupted run.  An existing
+    ``metrics.csv`` is first cut back to the rows before the checkpoint.
     """
     cfg.validate()
     out_dir = Path(out_dir)
@@ -231,6 +245,8 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
     rows: list[str] = []
     metrics_path = out_dir / tc.metrics_path
     mode = "a" if resume is not None and metrics_path.exists() else "w"
+    if mode == "a":
+        _truncate_metrics(metrics_path, global_step)
     ckpt_path = out_dir / "checkpoint.hcl"
     try:
         with open(metrics_path, mode, encoding="utf-8") as mf:
@@ -268,6 +284,7 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
                         f"sim_qk {diag['sim_qk']:.4f} lr {lr:.5f}")
                 done = epoch + 1
                 if tc.checkpoint_every and done % tc.checkpoint_every == 0:
+                    mf.flush()  # rows before a checkpoint survive a crash after it
                     save_training_checkpoint(
                         out_dir / f"checkpoint_ep{done}.hcl", fw, opt, cfg,
                         global_step, done)

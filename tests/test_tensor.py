@@ -1,7 +1,10 @@
 """Autodiff core: op semantics, broadcasting, tape behavior, error paths."""
 
+import itertools
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hcl.tensor import (
     NonFiniteError,
@@ -24,6 +27,60 @@ from hcl.tensor import (
     sum_,
     transpose,
 )
+
+
+def _conv2d_reference(x, w, b, stride, padding, g):
+    """Row-major im2col conv2d as first written: (out, gx, gw, gb) for upstream g."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    s, p = stride, padding
+    ho = (h + 2 * p - kh) // s + 1
+    wo = (wd + 2 * p - kw) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    wmat = w.reshape(f, -1)
+    out = cols @ wmat.T
+    if b is not None:
+        out = out + b
+    out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+    gw = (gmat.T @ cols).reshape(w.shape)
+    gb = None if b is None else gmat.sum(axis=0)
+    gcols = gmat @ wmat
+    gwin = gcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    gxp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += gwin[:, :, :, :, i, j]
+    gx = gxp[:, :, p : p + h, p : p + wd] if p else gxp
+    return out, gx, gw, gb
+
+
+def _avg_pool2d_reference(x, k=2):
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+
+
+def _conv2d_with_grads(x, w, b, stride, padding, g):
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    bt = None if b is None else Tensor(b, requires_grad=True)
+    out = conv2d(xt, wt, bt, stride=stride, padding=padding)
+    sum_(multiply(out, Tensor(g))).backward()
+    return out.data, xt.grad, wt.grad, None if bt is None else bt.grad
+
+
+def _assert_conv2d_matches_reference(x, w, b, stride, padding, g):
+    got = _conv2d_with_grads(x, w, b, stride, padding, g)
+    want = _conv2d_reference(x, w, b, stride, padding, g)
+    for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
+        if e is None:
+            assert a is None
+        else:
+            assert a.shape == e.shape, name
+            assert np.array_equal(a, e), name
 
 
 class TestTensorBasics:
@@ -158,6 +215,81 @@ class TestConvPool:
     def test_avg_pool_requires_divisible(self):
         with pytest.raises(ShapeMismatchError):
             avg_pool2d(Tensor(np.ones((1, 1, 5, 5))), 2)
+
+    def test_avg_pool_window_pinned_to_two(self):
+        with pytest.raises(ValueError, match="k = 2"):
+            avg_pool2d(Tensor(np.ones((1, 1, 6, 6))), 3)
+
+
+def _nonzero_ints(rng, shape):
+    """Small nonzero integers: every conv sum is exact whatever the BLAS order."""
+    return rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=shape)
+
+
+class TestConvPoolOracle:
+    """The conv and pool kernels against the formulations they replaced."""
+
+    @pytest.mark.parametrize(
+        "n,c,k,stride,padding,f",
+        [(n, c, k, s, p, f) for n, c, k, s, p in itertools.product(
+            (1, 5), (1, 3, 16), (1, 3), (1, 2), (0, 1)) for f in (1, 4)],
+    )
+    def test_conv2d_index_mapping_exact(self, n, c, k, stride, padding, f):
+        rng = np.random.default_rng(n * 1000 + c * 100 + k * 10 + stride + padding)
+        h, wd = 7, 10
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (wd + 2 * padding - k) // stride + 1
+        x = _nonzero_ints(rng, (n, c, h, wd))
+        w = _nonzero_ints(rng, (f, c, k, k))
+        g = _nonzero_ints(rng, (n, f, ho, wo))
+        _assert_conv2d_matches_reference(x, w, _nonzero_ints(rng, f), stride, padding, g)
+        _assert_conv2d_matches_reference(x, w, None, stride, padding, g)
+
+    @pytest.mark.parametrize(
+        "n,c,side,f",
+        [(64, 3, 32, 16), (64, 16, 16, 32), (64, 32, 8, 64),  # desk encoder layers
+         (32, 3, 16, 8), (32, 8, 8, 16)],  # quickstart encoder layers
+    )
+    def test_conv2d_bitwise_at_encoder_shapes(self, n, c, side, f):
+        """Random floats, byte-for-byte, at the shapes the encoder runs.
+
+        The channel-major GEMMs swap operand roles relative to the reference.
+        At these sizes OpenBLAS runs its blocked kernels, which sum each
+        element in the same order either way; tiny GEMMs may go to
+        size-specific kernels that round differently in the last bit.
+        """
+        rng = np.random.default_rng(side * f)
+        x = rng.normal(size=(n, c, side, side))
+        w = rng.normal(size=(f, c, 3, 3))
+        g = rng.normal(size=(n, f, side, side))
+        _assert_conv2d_matches_reference(x, w, rng.normal(size=f), 1, 1, g)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 4), (5, 3, 4, 6), (64, 16, 32, 32), (3, 64, 8, 4)])
+    def test_avg_pool_matches_mean_bitwise(self, shape):
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        assert np.array_equal(avg_pool2d(Tensor(x), 2).data, _avg_pool2d_reference(x))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 64, 8, 2)])
+    def test_avg_pool_pairs_rows_at_width_two(self, shape):
+        """At width 2 numpy's `mean` sums each window left to right instead;
+        the op keeps its one pairing there too."""
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        paired = ((x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]) + (x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2])) / 4
+        assert np.array_equal(avg_pool2d(Tensor(x), 2).data, paired)
+
+
+class TestFiniteness:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_mid_graph_overflow_named_by_producing_op(self):
+        with pytest.raises(NonFiniteError, match=r"^exp: non-finite values in output$"):
+            relu(exp(Tensor([[800.0]])))
+
+    @pytest.mark.parametrize("bad", ["x", "w", "b"])
+    def test_conv2d_rejects_non_finite_leaf(self, bad):
+        args = {"x": np.ones((1, 2, 4, 4)), "w": np.ones((3, 2, 3, 3)), "b": np.ones(3)}
+        args[bad].flat[1] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^conv2d: non-finite values in input$"):
+            conv2d(Tensor(args["x"]), Parameter(args["w"]), Parameter(args["b"]), padding=1)
 
 
 class TestBackward:

@@ -217,6 +217,16 @@ class TestPretrain:
             == (tmp_path / "full" / "checkpoint.hcl").read_bytes()
         )
 
+    def test_in_place_resume_leaves_uninterrupted_metrics(self, tmp_path):
+        cfg = _tiny_cfg(train={"epochs": 2, "checkpoint_every": 1})
+        records = _tiny_records(cfg)
+        full = pretrain(cfg, records, tmp_path)
+        expected = full.metrics_path.read_bytes()
+        with open(full.metrics_path, "a", encoding="utf-8") as mf:
+            mf.write("1")  # a row cut short by a crash
+        pretrain(cfg, records, tmp_path, resume=tmp_path / "checkpoint_ep1.hcl")
+        assert full.metrics_path.read_bytes() == expected
+
     def test_resume_rejects_framework_mismatch(self, tmp_path):
         cfg = _tiny_cfg(train={"epochs": 1})
         records = _tiny_records(cfg)
