@@ -12,11 +12,25 @@ blur, horizontal flip).
 All geometry is integer-exact and documented so tests can be bit-exact:
 crop extents use floor, centered placement uses floor((h - crop_h) / 2),
 and resizing is bilinear with half-pixel center alignment.
+
+Views are made in two phases.  The draw phase runs per sample and takes
+every random number from that sample's generator, in a fixed order:
+crop of view 1, crop of view 2, transforms of view 1, transforms of
+view 2.  No draw depends on pixel values, so the draws alone fix the
+views.  The pixel phase then works on all views of a batch at once:
+crop plus resize gathers each bilinear tap of every view in one call,
+each photometric step is a broadcast over views (or over the masked
+views it applies to), and blur runs once per kernel radius.  Per
+element it does the same arithmetic in the same order as a
+view-by-view pipeline, so a view's bytes do not depend on the batch it
+was made in.  `augment_pair`, `center_suppressed_crop` and
+`apply_transforms` are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,6 +84,19 @@ class AugmentConfig:
                 raise ValueError(f"{name} must be in [0,1]")
 
 
+@dataclass(frozen=True)
+class TransformDraws:
+    """The random choices of one view's photometric transforms."""
+
+    fb: float  # brightness scale
+    fc: float  # contrast scale
+    fs: float  # saturation scale
+    fh: float  # hue shift; 0 skips the HSV round trip
+    gray: bool
+    sigma: float | None  # blur sigma; None means no blur
+    flip: bool
+
+
 def center_crop(img: Image, p: float) -> Image:
     """Centered crop with side ratio p; extents floor(p*h) x floor(p*w).
 
@@ -78,16 +105,15 @@ def center_crop(img: Image, p: float) -> Image:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"center_crop: p must be in (0,1], got {p}")
-    ch, cw = int(np.floor(p * img.h)), int(np.floor(p * img.w))
-    if ch < 1 or cw < 1:
-        raise ValueError(f"center_crop: p={p} yields empty crop for {img.h}x{img.w} image")
-    top, left = (img.h - ch) // 2, (img.w - cw) // 2
-    return Image(img.pixels[top : top + ch, left : left + cw].copy())
+    r = center_crop_region(img.h, img.w, p)
+    return Image(img.pixels[r.top : r.top + r.crop_h, r.left : r.left + r.crop_w].copy())
 
 
 def center_crop_region(h: int, w: int, p: float) -> CropRegion:
     """The region that center_crop extracts, without copying pixels."""
     ch, cw = int(np.floor(p * h)), int(np.floor(p * w))
+    if ch < 1 or cw < 1:
+        raise ValueError(f"center_crop: p={p} yields empty crop for {h}x{w} image")
     return CropRegion((h - ch) // 2, (w - cw) // 2, ch, cw)
 
 
@@ -107,29 +133,11 @@ def sample_beta(alpha: float, rng: np.random.Generator) -> float:
             return x / (x + y)
 
 
-def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel center alignment, float64 in/out."""
-    src = np.asarray(pixels, dtype=np.float64)
-    h, w = src.shape[:2]
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None, None]
-    fx = (xs - x0)[None, :, None]
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
-    return top * (1 - fy) + bot * fy
+# ---- draw phase ------------------------------------------------------------
 
 
-def center_suppressed_crop(
-    img: Image, cfg: AugmentConfig, rng: np.random.Generator
-) -> tuple[CropRegion, Image]:
-    """Random crop with Beta-placed center, resized to out_size x out_size.
+def _draw_crop(h: int, w: int, cfg: AugmentConfig, rng: np.random.Generator) -> CropRegion:
+    """Random crop of an h x w source with a Beta-placed center.
 
     Crop area fraction is uniform over scale_range with log-uniform
     aspect ratio in aspect_range; after 10 rejected size attempts the
@@ -137,7 +145,6 @@ def center_suppressed_crop(
     placed at Beta(alpha, alpha) draws mapped over the feasible center
     range of each axis.
     """
-    h, w = img.h, img.w
     area = float(h * w)
     ch = cw = 0
     for _ in range(10):
@@ -151,61 +158,130 @@ def center_suppressed_crop(
             break
     if ch == 0:
         side = min(h, w)
-        region = CropRegion((h - side) // 2, (w - side) // 2, side, side)
-    else:
-        u = sample_beta(cfg.alpha, rng)
-        v = sample_beta(cfg.alpha, rng)
-        top = int(round(u * (h - ch)))
-        left = int(round(v * (w - cw)))
-        region = CropRegion(top, left, ch, cw)
-
-    patch = img.pixels[
-        region.top : region.top + region.crop_h, region.left : region.left + region.crop_w
-    ]
-    resized = resize_bilinear(patch.astype(np.float64) / 255.0, cfg.out_size, cfg.out_size)
-    out = Image(np.clip(np.rint(resized * 255.0), 0, 255).astype(np.uint8))
-    return region, out
+        return CropRegion((h - side) // 2, (w - side) // 2, side, side)
+    u = sample_beta(cfg.alpha, rng)
+    v = sample_beta(cfg.alpha, rng)
+    return CropRegion(int(round(u * (h - ch))), int(round(v * (w - cw))), ch, cw)
 
 
-# ---- photometric transform set -------------------------------------------
+def _draw_transforms(cfg: AugmentConfig, rng: np.random.Generator) -> TransformDraws:
+    """Jitter scales, then the grayscale, blur (plus sigma) and flip coins.
+
+    Brightness/contrast/saturation scales are uniform in [1-s, 1+s] and
+    the hue shift in [-0.1s, 0.1s].  They are drawn even when s == 0, so
+    the stream layout does not depend on the strength.
+    """
+    s = cfg.jitter_strength
+    fb = rng.uniform(1.0 - s, 1.0 + s)
+    fc = rng.uniform(1.0 - s, 1.0 + s)
+    fs = rng.uniform(1.0 - s, 1.0 + s)
+    fh = rng.uniform(-0.1 * s, 0.1 * s)
+    gray = rng.random() < cfg.grayscale_prob
+    sigma = None
+    if rng.random() < cfg.blur_prob:
+        sigma = rng.uniform(0.1, 2.0)
+    flip = rng.random() < cfg.flip_prob
+    return TransformDraws(fb, fc, fs, fh, gray, sigma, flip)
 
 
-def _rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
+# ---- pixel phase -----------------------------------------------------------
+
+
+def _bilinear_taps(n: np.ndarray, out: int):
+    """Source taps (i0, i1, frac), each (V, out), for resizing sizes n (V,) to out."""
+    n = np.asarray(n, dtype=np.int64)[:, None]
+    pos = np.clip((np.arange(out) + 0.5) * (n / out) - 0.5, 0.0, n - 1.0)
+    i0 = np.floor(pos).astype(np.int64)
+    return i0, np.minimum(i0 + 1, n - 1), pos - i0
+
+
+def _bilerp(p00, p01, p10, p11, fy, fx):
+    """(p00 (1-fx) + p01 fx) (1-fy) + (p10 (1-fx) + p11 fx) fy, computed in
+    place: the four tap arrays are overwritten and p00 is returned."""
+    gx = 1 - fx
+    p00 *= gx
+    p01 *= fx
+    p00 += p01
+    p10 *= gx
+    p11 *= fx
+    p10 += p11
+    p00 *= 1 - fy
+    p10 *= fy
+    p00 += p10
+    return p00
+
+
+def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize with half-pixel center alignment, float64 in/out."""
+    src = np.asarray(pixels, dtype=np.float64)
+    y0, y1, fy = (a[0] for a in _bilinear_taps([src.shape[0]], out_h))
+    x0, x1, fx = (a[0] for a in _bilinear_taps([src.shape[1]], out_w))
+    return _bilerp(src[y0][:, x0], src[y0][:, x1], src[y1][:, x0], src[y1][:, x1],
+                   fy[:, None, None], fx[None, :, None])
+
+
+def _to_uint8(x: np.ndarray) -> np.ndarray:
+    """Unit floats to rounded bytes; overwrites ``x``."""
+    x *= 255.0
+    np.rint(x, out=x)
+    np.clip(x, 0, 255, out=x)
+    return x.astype(np.uint8)
+
+
+def _crop_resize(images: Sequence[np.ndarray], which: Sequence[int],
+                 regions: Sequence[CropRegion], out_size: int) -> np.ndarray:
+    """uint8 views (V, S, S, 3): view v is regions[v] of images[which[v]],
+    bilinear-resized to S = out_size.
+
+    Images are (h, w, 3) uint8 and may differ in size.  Each bilinear tap
+    of every view is one gather from the concatenated pixels.
+    """
+    unit = np.concatenate([im.reshape(-1, 3) for im in images]).astype(np.float64)
+    unit /= 255.0
+    which = np.asarray(which, dtype=np.int64)
+    starts = np.cumsum([0] + [im.shape[0] * im.shape[1] for im in images])[which]
+    width = np.array([im.shape[1] for im in images], dtype=np.int64)[which]
+    top, left, ch, cw = (np.array(col, dtype=np.int64) for col in
+                         zip(*[(r.top, r.left, r.crop_h, r.crop_w) for r in regions]))
+    y0, y1, fy = _bilinear_taps(ch, out_size)
+    x0, x1, fx = _bilinear_taps(cw, out_size)
+    rows = [(starts[:, None] + (top[:, None] + y) * width[:, None])[:, :, None]
+            for y in (y0, y1)]
+    cols = [(left[:, None] + x)[:, None, :] for x in (x0, x1)]
+    taps = [np.take(unit, r + c, axis=0) for r in rows for c in cols]
+    # Weights repeated over channels keep the innermost loops long.
+    fx = np.repeat(fx[:, None, :, None], 3, axis=3)
+    return _to_uint8(_bilerp(*taps, fy[:, :, None, None], fx))
+
+
+def _rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=-1)
-    minc = rgb.min(axis=-1)
-    v = maxc
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
     span = maxc - minc
-    s = np.where(maxc > 0, span / np.where(maxc > 0, maxc, 1.0), 0.0)
-    safe = np.where(span > 0, span, 1.0)
+    lit = maxc > 0
+    s = np.where(lit, span / np.where(lit, maxc, 1.0), 0.0)
+    chroma = span > 0
+    safe = np.where(chroma, span, 1.0)
     rc = (maxc - r) / safe
     gc = (maxc - g) / safe
     bc = (maxc - b) / safe
     hue = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
-    hue = np.where(span > 0, (hue / 6.0) % 1.0, 0.0)
-    return np.stack([hue, s, v], axis=-1)
+    hue = np.where(chroma, (hue / 6.0) % 1.0, 0.0)
+    return hue, s, maxc
 
 
-def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
-    hue, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+def _hsv_to_rgb(hue: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     h6 = (hue % 1.0) * 6.0
-    i = np.floor(h6).astype(np.int64) % 6
-    f = h6 - np.floor(h6)
+    sector = np.floor(h6)
+    i = sector.astype(np.int64) % 6
+    f = h6 - sector
     p = v * (1 - s)
     q = v * (1 - s * f)
     t = v * (1 - s * (1 - f))
-    choices = np.stack(
-        [
-            np.stack([v, t, p], axis=-1),
-            np.stack([q, v, p], axis=-1),
-            np.stack([p, v, t], axis=-1),
-            np.stack([p, q, v], axis=-1),
-            np.stack([t, p, v], axis=-1),
-            np.stack([v, p, q], axis=-1),
-        ],
-        axis=0,
-    )
-    return np.take_along_axis(choices, i[None, ..., None], axis=0)[0]
+    return np.stack([np.choose(i, (v, q, p, p, t, v)),
+                     np.choose(i, (t, v, v, q, p, p)),
+                     np.choose(i, (p, p, t, v, v, q))], axis=-1)
 
 
 def _grayscale(x: np.ndarray) -> np.ndarray:
@@ -213,72 +289,148 @@ def _grayscale(x: np.ndarray) -> np.ndarray:
     return np.repeat(g[..., None], 3, axis=-1)
 
 
-def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
-    # Separable kernel, reflect padding; kernel radius scales with sigma.
-    radius = max(1, int(np.ceil(2.0 * sigma)))
+def _blur_axis(x: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
+    """Reflect-padded correlation of (V, h, w, 3) along ``axis`` with
+    per-view kernels k (V, K), summed tap by tap from the first."""
+    radius = (k.shape[1] - 1) // 2
+    n = x.shape[axis]
+    pad = [(0, 0)] * 4
+    pad[axis] = (radius, radius)
+    padded = np.pad(x, pad, mode="reflect")
+    lead = (slice(None),) * axis
+
+    def shifted(j):
+        return padded[lead + (slice(j, j + n),)] * k[:, j, None, None, None]
+
+    out = shifted(0)
+    for j in range(1, k.shape[1]):
+        out += shifted(j)
+    return out
+
+
+def _gaussian_blur(x: np.ndarray, sigma: np.ndarray, radius: int) -> np.ndarray:
+    """Separable blur of (V, h, w, 3) views, one sigma (V,) per view, all
+    with the same kernel radius."""
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (t / sigma) ** 2)
-    k /= k.sum()
-    padded = np.pad(x, ((radius, radius), (0, 0), (0, 0)), mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1, axis=0)
-    x = np.einsum("hwck,k->hwc", windows, k)
-    padded = np.pad(x, ((0, 0), (radius, radius), (0, 0)), mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1, axis=1)
-    return np.einsum("hwck,k->hwc", windows, k)
+    k = np.exp(-0.5 * (t / sigma[:, None]) ** 2)
+    k /= k.sum(axis=1, keepdims=True)
+    return _blur_axis(_blur_axis(x, k, 1), k, 2)
 
 
-def _color_jitter(x: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
-    """Brightness/contrast/saturation scales in [1-s, 1+s], hue shift in [-0.1s, 0.1s].
+def _scale_about(x: np.ndarray, mid, factor) -> None:
+    """x <- clip((x - mid) * factor + mid, 0, 1), in place."""
+    x -= mid
+    x *= factor
+    x += mid
+    np.clip(x, 0.0, 1.0, out=x)
 
-    Applied in that fixed order.  Draws are consumed even when s == 0 so
-    the stream layout does not depend on the strength.
+
+def _shift_hue(rgb: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    hue, sat, val = _rgb_to_hsv(rgb)
+    hue += shift
+    hue %= 1.0
+    return np.clip(_hsv_to_rgb(hue, sat, val), 0.0, 1.0)
+
+
+def _apply_where(x: np.ndarray, mask: np.ndarray, fn) -> None:
+    """x[rows] = fn(x[rows], rows) for the views where ``mask`` holds."""
+    if mask.any():
+        rows = slice(None) if mask.all() else np.flatnonzero(mask)
+        x[rows] = fn(x[rows], rows)
+
+
+def _photometric(views: np.ndarray, draws: Sequence[TransformDraws]) -> np.ndarray:
+    """Color jitter -> grayscale -> Gaussian blur -> flip on uint8 views
+    (V, h, w, 3), view v with draws[v]; returns unit floats of that shape.
+
+    Jitter scales brightness, contrast and saturation in that order,
+    then shifts hue where the draw is nonzero.
     """
-    fb = rng.uniform(1.0 - s, 1.0 + s)
-    fc = rng.uniform(1.0 - s, 1.0 + s)
-    fs = rng.uniform(1.0 - s, 1.0 + s)
-    fh = rng.uniform(-0.1 * s, 0.1 * s)
-    x = np.clip(x * fb, 0.0, 1.0)
-    m = _grayscale(x).mean()
-    x = np.clip((x - m) * fc + m, 0.0, 1.0)
-    g = _grayscale(x)
-    x = np.clip((x - g) * fs + g, 0.0, 1.0)
-    if fh != 0.0:
-        hsv = _rgb_to_hsv(x)
-        hsv[..., 0] = (hsv[..., 0] + fh) % 1.0
-        x = np.clip(_hsv_to_rgb(hsv), 0.0, 1.0)
+    n = len(draws)
+    fb, fc, fs, fh = (np.array([getattr(d, k) for d in draws])[:, None, None, None]
+                      for k in ("fb", "fc", "fs", "fh"))
+    x = views.astype(np.float64)
+    x /= 255.0
+    x *= fb
+    np.clip(x, 0.0, 1.0, out=x)
+    _scale_about(x, _grayscale(x).reshape(n, -1).mean(axis=1)[:, None, None, None], fc)
+    _scale_about(x, _grayscale(x), fs)
+    _apply_where(x, fh[:, 0, 0, 0] != 0.0, lambda v, rows: _shift_hue(v, fh[rows, :, :, 0]))
+    _apply_where(x, np.array([d.gray for d in draws]), lambda v, rows: _grayscale(v))
+    # Blur runs once per kernel radius max(1, ceil(2 sigma)); 0 means no blur.
+    sigma = np.array([0.0 if d.sigma is None else d.sigma for d in draws])
+    radius = np.array([0 if d.sigma is None else max(1, int(np.ceil(2.0 * d.sigma)))
+                       for d in draws])
+    for r in np.unique(radius[radius > 0]):
+        _apply_where(x, radius == r,
+                     lambda v, rows: _gaussian_blur(v, sigma[rows], int(r)))
+    _apply_where(x, np.array([d.flip for d in draws]), lambda v, rows: v[:, :, ::-1])
     return x
+
+
+# ---- public entry points ---------------------------------------------------
+
+
+def augment_batch(images: Sequence[Image], cfg: AugmentConfig,
+                  rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Two uint8 view batches (B, S, S, 3), S = out_size, one pair per image.
+
+    Sample i takes all its draws from rngs[i], so its views depend only
+    on (images[i], rngs[i]): view 1 from the centered sub-image, view 2
+    from the full image (or from the sub-image too when
+    center_crop_both is set).
+    """
+    cfg.validate()
+    if len(images) != len(rngs):
+        raise ValueError(f"augment_batch: {len(images)} images but {len(rngs)} generators")
+    regions, draws = [], []
+    for img, rng in zip(images, rngs):
+        inner = center_crop_region(img.h, img.w, cfg.p)
+        outer = inner if cfg.center_crop_both else CropRegion(0, 0, img.h, img.w)
+        for src in (inner, outer):
+            r = _draw_crop(src.crop_h, src.crop_w, cfg, rng)
+            regions.append(CropRegion(src.top + r.top, src.left + r.left, r.crop_h, r.crop_w))
+        draws += [_draw_transforms(cfg, rng), _draw_transforms(cfg, rng)]
+    b = len(images)
+    cropped = _crop_resize([img.pixels for img in images], np.repeat(np.arange(b), 2),
+                          regions, cfg.out_size)
+    views = _to_uint8(_photometric(cropped, draws))
+    return views[0::2], views[1::2]
+
+
+def center_suppressed_crop(
+    img: Image, cfg: AugmentConfig, rng: np.random.Generator
+) -> tuple[CropRegion, Image]:
+    """Random crop with Beta-placed center (see `_draw_crop`), resized to
+    out_size x out_size."""
+    region = _draw_crop(img.h, img.w, cfg, rng)
+    return region, Image(_crop_resize([img.pixels], [0], [region], cfg.out_size)[0])
 
 
 def apply_transforms(img: Image, cfg: AugmentConfig, rng: np.random.Generator) -> Image:
     """Color jitter -> random grayscale -> Gaussian blur -> horizontal flip."""
-    x = img.pixels.astype(np.float64) / 255.0
-    x = _color_jitter(x, cfg.jitter_strength, rng)
-    if rng.random() < cfg.grayscale_prob:
-        x = _grayscale(x)
-    if rng.random() < cfg.blur_prob:
-        x = _gaussian_blur(x, rng.uniform(0.1, 2.0))
-    if rng.random() < cfg.flip_prob:
-        x = x[:, ::-1]
-    return Image(np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8))
+    return Image(_to_uint8(_photometric(img.pixels[None], [_draw_transforms(cfg, rng)]))[0])
 
 
 def augment_pair(img: Image, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[Image, Image]:
-    """Two views of one image: view 1 from the centered sub-image, view 2
-    from the full image (or from the sub-image too when center_crop_both
-    is set).  All random draws come from `rng`, so equal (seed, image)
-    gives equal views.
+    """Two views of one image: `augment_batch` with a batch of one.
+    All random draws come from `rng`, so equal (seed, image) gives equal
+    views.
     """
-    cfg.validate()
-    src1 = center_crop(img, cfg.p)
-    src2 = center_crop(img, cfg.p) if cfg.center_crop_both else img
-    _, v1 = center_suppressed_crop(src1, cfg, rng)
-    _, v2 = center_suppressed_crop(src2, cfg, rng)
-    return apply_transforms(v1, cfg, rng), apply_transforms(v2, cfg, rng)
+    v1, v2 = augment_batch([img], cfg, [rng])
+    return Image(v1[0]), Image(v2[0])
+
+
+def to_unit_float_batch(views: np.ndarray) -> np.ndarray:
+    """uint8 views (V, h, w, 3) to contiguous (V, 3, h, w) float64 in [0, 1]."""
+    x = np.ascontiguousarray(views.transpose(0, 3, 1, 2)).astype(np.float64)
+    x /= 255.0
+    return x
 
 
 def to_unit_float(img: Image) -> np.ndarray:
     """Image to CHW float64 in [0, 1], the encoder's input layout."""
-    return img.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
+    return to_unit_float_batch(img.pixels[None])[0]
 
 
 def eval_view(img: Image, out_size: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import augment_pair, to_unit_float
+from .augment import augment_batch, to_unit_float_batch
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import generate_synthetic, load_cifar_batch
 from .gradcheck import TOLERANCE, framework_gradcheck_suite, op_gradcheck_suite
@@ -101,11 +101,9 @@ def _encode_view_pairs(fw, records, cfg: ExperimentConfig, batch: int = 64):
     fa, fb = [], []
     for lo in range(0, len(records), batch):
         chunk = records[lo:lo + batch]
-        views = [augment_pair(r.image, aug_cfg,
-                              substream(cfg.seed, "metrics-views", lo + i))
-                 for i, r in enumerate(chunk)]
-        xa = np.stack([to_unit_float(v[0]) for v in views])
-        xb = np.stack([to_unit_float(v[1]) for v in views])
+        rngs = [substream(cfg.seed, "metrics-views", lo + i) for i in range(len(chunk))]
+        va, vb = augment_batch([r.image for r in chunk], aug_cfg, rngs)
+        xa, xb = to_unit_float_batch(va), to_unit_float_batch(vb)
         fa.append(l2_normalize(enc.forward(Tensor(xa))).data.copy())
         fb.append(l2_normalize(enc.forward(Tensor(xb))).data.copy())
     return np.concatenate(fa), np.concatenate(fb)

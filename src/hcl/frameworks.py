@@ -442,11 +442,11 @@ class SimSiamFramework(_FrameworkBase):
         return z2.data.copy(), z1.data.copy()
 
     def _direction(self, za: Tensor, target: Tensor, lams):
-        plain = negative_cosine(self.predictor.forward(za), target)
+        p = self.predictor.forward(za)
+        plain = negative_cosine(p, target)
         if not self.cfg.hallucinator:
             return plain, None
         if self.cfg.hallucinate_after_predictor:
-            p = self.predictor.forward(za)
             q_prime = extrapolate(p, target, lams)
             q_hat = hallucinate(p, q_prime, self.hall)
             extra = negative_cosine(q_hat, target)

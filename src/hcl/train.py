@@ -3,20 +3,19 @@
 Every random draw comes from a counter-based substream keyed by what the
 draw is for (shuffle of epoch e, augmentation of sample i in epoch e,
 extrapolation weights of step s), never from a shared sequential stream.
-Consequently runs are bitwise reproducible, worker threads cannot change
-results, and resuming from a checkpoint continues the exact run.
+Consequently runs are bitwise reproducible, a sample's views do not
+depend on the batch it lands in, and resuming from a checkpoint continues
+the exact run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_pair, eval_view, to_unit_float
+from .augment import AugmentConfig, augment_batch, eval_view, to_unit_float_batch
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .data import DatasetRecord
@@ -84,41 +83,17 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + float(np.cos(np.pi * step / total_steps)))
 
 
-def thread_count() -> int:
-    """Worker cap for batch building; results never depend on it."""
-    raw = os.environ.get("HCL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"HCL_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"HCL_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _pair_for(record: DatasetRecord, aug_cfg: AugmentConfig, seed: int,
-              epoch: int, dataset_index: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = substream(seed, "augment", epoch, dataset_index)
-    v1, v2 = augment_pair(record.image, aug_cfg, rng)
-    return to_unit_float(v1), to_unit_float(v2)
-
-
 def build_batch(records: list[DatasetRecord], indices: np.ndarray,
-                aug_cfg: AugmentConfig, seed: int, epoch: int,
-                pool: ThreadPoolExecutor | None) -> tuple[np.ndarray, np.ndarray]:
+                aug_cfg: AugmentConfig, seed: int,
+                epoch: int) -> tuple[np.ndarray, np.ndarray]:
     """Augmented view batches (B, 3, S, S) for the given dataset indices.
 
     Each sample's randomness is keyed by (seed, epoch, dataset index), so
-    the result is identical whether built serially or by a thread pool.
+    a sample's views do not depend on the batch or its position in it.
     """
-    jobs = [(records[i], aug_cfg, seed, epoch, int(i)) for i in indices]
-    if pool is None:
-        pairs = [_pair_for(*j) for j in jobs]
-    else:
-        pairs = list(pool.map(lambda j: _pair_for(*j), jobs))
-    x1 = np.stack([p[0] for p in pairs])
-    x2 = np.stack([p[1] for p in pairs])
-    return x1, x2
+    rngs = [substream(seed, "augment", epoch, int(i)) for i in indices]
+    v1, v2 = augment_batch([records[i].image for i in indices], aug_cfg, rngs)
+    return to_unit_float_batch(v1), to_unit_float_batch(v2)
 
 
 def metrics_row(step: int, epoch: int, loss: float, diag: dict, lr: float) -> str:
@@ -240,58 +215,54 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
         global_step = int(meta["global_step"])
         start_epoch = int(meta["next_epoch"])
 
-    threads = thread_count()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     rows: list[str] = []
     metrics_path = out_dir / tc.metrics_path
     mode = "a" if resume is not None and metrics_path.exists() else "w"
     if mode == "a":
         _truncate_metrics(metrics_path, global_step)
     ckpt_path = out_dir / "checkpoint.hcl"
-    try:
-        with open(metrics_path, mode, encoding="utf-8") as mf:
-            if mode == "w":
-                mf.write(METRICS_HEADER + "\n")
-            for epoch in range(start_epoch, tc.epochs):
-                perm = substream(seed, "shuffle", epoch).permutation(len(records))
-                for step in range(steps_per_epoch):
-                    idx = perm[step * batch:(step + 1) * batch]
-                    x1, x2 = build_batch(records, idx, aug_cfg, seed, epoch, pool)
-                    if isinstance(fw, MoCoFramework) and global_step == 0:
-                        fw.queue.push(fw.encode_keys(x2))
-                    lam_rng = substream(seed, "lambda", epoch, step)
-                    lambdas = fw.draw_lambdas(lam_rng, batch)
-                    lr = cosine_lr(tc.lr, global_step, total_steps)
-                    try:
-                        loss, diag, aux = fw.forward_loss(x1, x2, lambdas)
-                    except NonFiniteError as exc:
-                        raise NonFiniteError(
-                            f"step {global_step}: {exc}", "loss"
-                        ) from exc
-                    loss_val = float(loss.data)
-                    if not np.isfinite(loss_val):
-                        raise NonFiniteError(f"step {global_step} loss", "loss")
-                    opt.zero_grad()
-                    loss.backward()
-                    opt.step(lr)
-                    fw.after_update(aux)
-                    row = metrics_row(global_step, epoch, loss_val, diag, lr)
-                    rows.append(row)
-                    mf.write(row + "\n")
-                    global_step += 1
-                if log is not None:
-                    log(f"epoch {epoch}: loss {float(loss.data):.6f} "
-                        f"sim_qk {diag['sim_qk']:.4f} lr {lr:.5f}")
-                done = epoch + 1
-                if tc.checkpoint_every and done % tc.checkpoint_every == 0:
-                    mf.flush()  # rows before a checkpoint survive a crash after it
-                    save_training_checkpoint(
-                        out_dir / f"checkpoint_ep{done}.hcl", fw, opt, cfg,
-                        global_step, done)
-            mf.flush()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with open(metrics_path, mode, encoding="utf-8") as mf:
+        if mode == "w":
+            mf.write(METRICS_HEADER + "\n")
+        for epoch in range(start_epoch, tc.epochs):
+            perm = substream(seed, "shuffle", epoch).permutation(len(records))
+            for step in range(steps_per_epoch):
+                idx = perm[step * batch:(step + 1) * batch]
+                x1, x2 = build_batch(records, idx, aug_cfg, seed, epoch)
+                if isinstance(fw, MoCoFramework) and global_step == 0:
+                    fw.queue.push(fw.encode_keys(x2))
+                lam_rng = substream(seed, "lambda", epoch, step)
+                lambdas = fw.draw_lambdas(lam_rng, batch)
+                lr = cosine_lr(tc.lr, global_step, total_steps)
+                try:
+                    loss, diag, aux = fw.forward_loss(x1, x2, lambdas)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(
+                        f"step {global_step}: {exc}", "loss"
+                    ) from exc
+                loss_val = float(loss.data)
+                if not np.isfinite(loss_val):
+                    raise NonFiniteError(f"step {global_step} loss", "loss")
+                opt.zero_grad()
+                loss.backward()
+                opt.step(lr)
+                fw.after_update(aux)
+                # Free this step's tape before the next batch is built.
+                del loss, aux
+                row = metrics_row(global_step, epoch, loss_val, diag, lr)
+                rows.append(row)
+                mf.write(row + "\n")
+                global_step += 1
+            if log is not None:
+                log(f"epoch {epoch}: loss {loss_val:.6f} "
+                    f"sim_qk {diag['sim_qk']:.4f} lr {lr:.5f}")
+            done = epoch + 1
+            if tc.checkpoint_every and done % tc.checkpoint_every == 0:
+                mf.flush()  # rows before a checkpoint survive a crash after it
+                save_training_checkpoint(
+                    out_dir / f"checkpoint_ep{done}.hcl", fw, opt, cfg,
+                    global_step, done)
+        mf.flush()
     save_training_checkpoint(ckpt_path, fw, opt, cfg, global_step, tc.epochs)
     return TrainResult(fw, rows, global_step, ckpt_path, metrics_path)
 

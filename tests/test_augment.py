@@ -5,8 +5,11 @@ import pytest
 
 from hcl.augment import (
     AugmentConfig,
+    _draw_transforms,
+    _photometric,
     CropRegion,
     apply_transforms,
+    augment_batch,
     augment_pair,
     center_crop,
     center_crop_region,
@@ -17,6 +20,7 @@ from hcl.augment import (
     to_unit_float,
 )
 from hcl.data import Image
+from hcl.rng import substream
 
 # Two-sided tail mass P(X<0.1 or X>0.9) of Beta(0.6, 0.6); quadrature of
 # the density after the substitution x = t^(1/alpha), cross-checked
@@ -246,3 +250,239 @@ class TestEncoderViews:
         np.testing.assert_array_equal(same, to_unit_float(img))
         smaller = eval_view(img, 8)
         assert smaller.shape == (3, 8, 8)
+
+
+# ---- the per-image pipeline that the batched one replaced, as an oracle ----
+
+_GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
+
+
+def _ref_center_crop(img, p):
+    ch, cw = int(np.floor(p * img.h)), int(np.floor(p * img.w))
+    top, left = (img.h - ch) // 2, (img.w - cw) // 2
+    return Image(img.pixels[top : top + ch, left : left + cw].copy())
+
+
+def _ref_resize_bilinear(pixels, out_h, out_w):
+    src = np.asarray(pixels, dtype=np.float64)
+    h, w = src.shape[:2]
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[None, :, None]
+    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def _ref_center_suppressed_crop(img, cfg, rng):
+    h, w = img.h, img.w
+    area = float(h * w)
+    ch = cw = 0
+    for _ in range(10):
+        target = area * rng.uniform(cfg.scale_range[0], cfg.scale_range[1])
+        log_lo, log_hi = np.log(cfg.aspect_range[0]), np.log(cfg.aspect_range[1])
+        ratio = float(np.exp(rng.uniform(log_lo, log_hi)))
+        tw = int(round(np.sqrt(target * ratio)))
+        th = int(round(np.sqrt(target / ratio)))
+        if 1 <= tw <= w and 1 <= th <= h:
+            ch, cw = th, tw
+            break
+    if ch == 0:
+        side = min(h, w)
+        region = CropRegion((h - side) // 2, (w - side) // 2, side, side)
+    else:
+        u = sample_beta(cfg.alpha, rng)
+        v = sample_beta(cfg.alpha, rng)
+        top = int(round(u * (h - ch)))
+        left = int(round(v * (w - cw)))
+        region = CropRegion(top, left, ch, cw)
+
+    patch = img.pixels[
+        region.top : region.top + region.crop_h, region.left : region.left + region.crop_w
+    ]
+    resized = _ref_resize_bilinear(patch.astype(np.float64) / 255.0, cfg.out_size, cfg.out_size)
+    out = Image(np.clip(np.rint(resized * 255.0), 0, 255).astype(np.uint8))
+    return region, out
+
+
+def _ref_rgb_to_hsv(rgb):
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = rgb.max(axis=-1)
+    minc = rgb.min(axis=-1)
+    v = maxc
+    span = maxc - minc
+    s = np.where(maxc > 0, span / np.where(maxc > 0, maxc, 1.0), 0.0)
+    safe = np.where(span > 0, span, 1.0)
+    rc = (maxc - r) / safe
+    gc = (maxc - g) / safe
+    bc = (maxc - b) / safe
+    hue = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
+    hue = np.where(span > 0, (hue / 6.0) % 1.0, 0.0)
+    return np.stack([hue, s, v], axis=-1)
+
+
+def _ref_hsv_to_rgb(hsv):
+    hue, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    h6 = (hue % 1.0) * 6.0
+    i = np.floor(h6).astype(np.int64) % 6
+    f = h6 - np.floor(h6)
+    p = v * (1 - s)
+    q = v * (1 - s * f)
+    t = v * (1 - s * (1 - f))
+    choices = np.stack(
+        [
+            np.stack([v, t, p], axis=-1),
+            np.stack([q, v, p], axis=-1),
+            np.stack([p, v, t], axis=-1),
+            np.stack([p, q, v], axis=-1),
+            np.stack([t, p, v], axis=-1),
+            np.stack([v, p, q], axis=-1),
+        ],
+        axis=0,
+    )
+    return np.take_along_axis(choices, i[None, ..., None], axis=0)[0]
+
+
+def _ref_grayscale(x):
+    g = x @ _GRAY_WEIGHTS
+    return np.repeat(g[..., None], 3, axis=-1)
+
+
+def _ref_gaussian_blur(x, sigma):
+    radius = max(1, int(np.ceil(2.0 * sigma)))
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (t / sigma) ** 2)
+    k /= k.sum()
+    padded = np.pad(x, ((radius, radius), (0, 0), (0, 0)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1, axis=0)
+    x = np.einsum("hwck,k->hwc", windows, k)
+    padded = np.pad(x, ((0, 0), (radius, radius), (0, 0)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1, axis=1)
+    return np.einsum("hwck,k->hwc", windows, k)
+
+
+def _ref_color_jitter(x, s, rng):
+    fb = rng.uniform(1.0 - s, 1.0 + s)
+    fc = rng.uniform(1.0 - s, 1.0 + s)
+    fs = rng.uniform(1.0 - s, 1.0 + s)
+    fh = rng.uniform(-0.1 * s, 0.1 * s)
+    x = np.clip(x * fb, 0.0, 1.0)
+    m = _ref_grayscale(x).mean()
+    x = np.clip((x - m) * fc + m, 0.0, 1.0)
+    g = _ref_grayscale(x)
+    x = np.clip((x - g) * fs + g, 0.0, 1.0)
+    if fh != 0.0:
+        hsv = _ref_rgb_to_hsv(x)
+        hsv[..., 0] = (hsv[..., 0] + fh) % 1.0
+        x = np.clip(_ref_hsv_to_rgb(hsv), 0.0, 1.0)
+    return x
+
+
+def _ref_transform_floats(img, cfg, rng):
+    x = img.pixels.astype(np.float64) / 255.0
+    x = _ref_color_jitter(x, cfg.jitter_strength, rng)
+    if rng.random() < cfg.grayscale_prob:
+        x = _ref_grayscale(x)
+    if rng.random() < cfg.blur_prob:
+        x = _ref_gaussian_blur(x, rng.uniform(0.1, 2.0))
+    if rng.random() < cfg.flip_prob:
+        x = x[:, ::-1]
+    return x
+
+
+def _ref_apply_transforms(img, cfg, rng):
+    x = _ref_transform_floats(img, cfg, rng)
+    return Image(np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8))
+
+
+def _ref_augment_pair(img, cfg, rng):
+    src1 = _ref_center_crop(img, cfg.p)
+    src2 = _ref_center_crop(img, cfg.p) if cfg.center_crop_both else img
+    _, v1 = _ref_center_suppressed_crop(src1, cfg, rng)
+    _, v2 = _ref_center_suppressed_crop(src2, cfg, rng)
+    return _ref_apply_transforms(v1, cfg, rng), _ref_apply_transforms(v2, cfg, rng)
+
+
+def _assert_batch_matches_reference(images, cfg, seed):
+    rngs = [substream(seed, "augment", 0, i) for i in range(len(images))]
+    v1, v2 = augment_batch(images, cfg, rngs)
+    assert v1.shape == v2.shape == (len(images), cfg.out_size, cfg.out_size, 3)
+    for i, img in enumerate(images):
+        r1, r2 = _ref_augment_pair(img, cfg, substream(seed, "augment", 0, i))
+        assert np.array_equal(v1[i], r1.pixels), (seed, i, "view 1")
+        assert np.array_equal(v2[i], r2.pixels), (seed, i, "view 2")
+
+
+class TestBatchedPipelineOracle:
+    """Batched views against the per-image pipeline, byte for byte."""
+
+    @pytest.mark.parametrize("out_size", [8, 16, 32])
+    @pytest.mark.parametrize("center_crop_both", [False, True])
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_default_config(self, out_size, center_crop_both, batch):
+        cfg = AugmentConfig(out_size=out_size, center_crop_both=center_crop_both)
+        for seed in range(3 if batch < 64 else 1):
+            rng = np.random.default_rng(1000 * batch + out_size + seed)
+            images = [_rand_image(rng) for _ in range(batch)]
+            _assert_batch_matches_reference(images, cfg, seed + 100 * out_size)
+
+    @pytest.mark.parametrize("overrides", [
+        {"grayscale_prob": 1.0},
+        {"blur_prob": 1.0},
+        {"flip_prob": 1.0},
+        {"jitter_strength": 0.0},  # fh == 0: the hue step is skipped
+        {"aspect_range": (10.0, 20.0)},  # every size attempt fails: fallback crop
+        {"grayscale_prob": 1.0, "blur_prob": 1.0, "flip_prob": 1.0, "p": 1.0},
+    ])
+    def test_forced_branches(self, overrides):
+        cfg = AugmentConfig(out_size=16, **overrides)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            images = [_rand_image(rng) for _ in range(5)]
+            _assert_batch_matches_reference(images, cfg, seed)
+
+    def test_mixed_image_sizes(self):
+        cfg = AugmentConfig(out_size=8, blur_prob=1.0)
+        rng = np.random.default_rng(40)
+        images = [_rand_image(rng, h, w) for h, w in ((32, 32), (24, 40), (9, 17), (40, 12))]
+        for seed in range(4):
+            _assert_batch_matches_reference(images, cfg, seed)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"blur_prob": 1.0, "grayscale_prob": 0.0}, {"jitter_strength": 1.0},
+    ])
+    def test_photometric_floats_match_before_rounding(self, overrides):
+        # uint8 rounding hides last-bit differences; the unit floats do not.
+        cfg = AugmentConfig(**overrides)
+        rng = np.random.default_rng(44)
+        images = [_rand_image(rng, 16, 16) for _ in range(24)]
+        draws = [_draw_transforms(cfg, substream(7, "t", i)) for i in range(24)]
+        got = _photometric(np.stack([im.pixels for im in images]), draws)
+        for i, img in enumerate(images):
+            ref = _ref_transform_floats(img, cfg, substream(7, "t", i))
+            assert np.array_equal(got[i], ref), i
+
+    def test_resize_floats_match(self):
+        rng = np.random.default_rng(45)
+        for h, w, out_h, out_w in ((32, 32, 16, 16), (7, 19, 32, 8), (24, 40, 8, 8), (5, 5, 5, 5)):
+            src = rng.random((h, w, 3))
+            assert np.array_equal(resize_bilinear(src, out_h, out_w),
+                                  _ref_resize_bilinear(src, out_h, out_w))
+
+    def test_fallback_crop_is_centered_square(self):
+        cfg = AugmentConfig(aspect_range=(10.0, 20.0), out_size=8)
+        img = _rand_image(np.random.default_rng(41), h=24, w=40)
+        region, _ = center_suppressed_crop(img, cfg, np.random.default_rng(42))
+        assert (region.top, region.left, region.crop_h, region.crop_w) == (0, 8, 24, 24)
+
+    def test_rejects_generator_count_mismatch(self):
+        img = _rand_image(np.random.default_rng(43))
+        with pytest.raises(ValueError, match="generators"):
+            augment_batch([img, img], AugmentConfig(), [np.random.default_rng(0)])

@@ -19,6 +19,7 @@ from hcl.frameworks import (
     negative_cosine,
     ntxent_loss,
 )
+from hcl.gradcheck import TOLERANCE, check_parameter_gradients
 from hcl.hallucinator import ExtrapolationConfig
 from hcl.rng import substream
 from hcl.tensor import ShapeMismatchError, Tensor, l2_normalize
@@ -385,6 +386,22 @@ class TestSimSiam:
         a, _, _ = pre.forward_loss(x1, x2, lams)
         b, _, _ = post.forward_loss(x1, x2, lams)
         assert float(a.data) != float(b.data)
+
+    def test_post_predictor_placement_gradcheck(self):
+        # The predictor output feeds both the plain and the hallucinated
+        # term; differenced with its targets frozen, as its analytic
+        # gradient treats them.
+        rng = np.random.default_rng(14)
+        x1, x2 = _batch(rng), _batch(rng)
+        lams = np.linspace(0.1, 0.9, 8).reshape(2, 4)
+        fw = _small("simsiam", seed=6, hallucinator_layers=2,
+                    extrapolation=ExtrapolationConfig(0.0, 1.0),
+                    hallucinate_after_predictor=True)
+        frozen = fw.target_features(x1, x2)
+        err = check_parameter_gradients(
+            lambda: fw.forward_loss(x1, x2, lams, frozen_targets=frozen)[0],
+            fw.trainable_parameters())
+        assert err < TOLERANCE
 
 
 class TestBuildFramework:

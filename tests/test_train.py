@@ -1,10 +1,12 @@
 """Optimizer semantics, schedules, and end-to-end training determinism."""
 
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 
 import numpy as np
 import pytest
 
+import hcl.frameworks
+import hcl.train
 from hcl.checkpoint import load_checkpoint, save_checkpoint
 from hcl.config import config_from_dict
 from hcl.data import make_synthetic_records
@@ -20,7 +22,6 @@ from hcl.train import (
     load_pretrained,
     metrics_row,
     pretrain,
-    thread_count,
 )
 
 TINY = {
@@ -123,40 +124,13 @@ class TestCosineSchedule:
             cosine_lr(0.1, 0, 0)
 
 
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("HCL_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HCL_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_rejects_garbage(self, monkeypatch):
-        for bad in ("zero", "0", "-2"):
-            monkeypatch.setenv("HCL_THREADS", bad)
-            with pytest.raises(ValueError, match="HCL_THREADS"):
-                thread_count()
-
-
 class TestBuildBatch:
-    def test_pool_matches_serial_bitwise(self):
-        cfg = _tiny_cfg()
-        records = _tiny_records(cfg)
-        aug = cfg.augment.to_augment_config()
-        idx = np.arange(8)
-        serial = build_batch(records, idx, aug, cfg.seed, epoch=0, pool=None)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = build_batch(records, idx, aug, cfg.seed, epoch=0, pool=pool)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
-
     def test_independent_of_position_in_batch(self):
         cfg = _tiny_cfg()
         records = _tiny_records(cfg)
         aug = cfg.augment.to_augment_config()
-        x1a, _ = build_batch(records, np.array([3, 5]), aug, cfg.seed, 0, None)
-        x1b, _ = build_batch(records, np.array([5, 3]), aug, cfg.seed, 0, None)
+        x1a, _ = build_batch(records, np.array([3, 5]), aug, cfg.seed, 0)
+        x1b, _ = build_batch(records, np.array([5, 3]), aug, cfg.seed, 0)
         assert np.array_equal(x1a[0], x1b[1])
         assert np.array_equal(x1a[1], x1b[0])
 
@@ -193,14 +167,30 @@ class TestPretrain:
         assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
         assert a.rows and a.rows == b.rows
 
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = _tiny_cfg()
-        records = _tiny_records(cfg)
-        monkeypatch.setenv("HCL_THREADS", "1")
-        a = pretrain(cfg, records, tmp_path / "a")
-        monkeypatch.setenv("HCL_THREADS", "3")
-        b = pretrain(cfg, records, tmp_path / "b")
-        assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+    @pytest.mark.parametrize("framework", ["MoCo", "SimCLR", "SimSiam"])
+    def test_step_tape_freed_before_next_batch(self, tmp_path, monkeypatch, framework):
+        # A Tensor has no __weakref__ slot, so watch the loss's 0-d array:
+        # the tape's last reference to it goes when the step's loss does.
+        cls = getattr(hcl.frameworks, f"{framework}Framework")
+        losses, alive_at_batch = [], []
+        forward_loss, build = cls.forward_loss, hcl.train.build_batch
+
+        def watched_forward_loss(self, *args, **kwargs):
+            out = forward_loss(self, *args, **kwargs)
+            losses.append(weakref.ref(out[0].data))
+            return out
+
+        def watched_build(*args, **kwargs):
+            alive_at_batch.append(sum(ref() is not None for ref in losses))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cls, "forward_loss", watched_forward_loss)
+        monkeypatch.setattr(hcl.train, "build_batch", watched_build)
+        cfg = _tiny_cfg(framework=framework.lower(), train={"epochs": 2})
+        logged = []
+        pretrain(cfg, _tiny_records(cfg), tmp_path, log=logged.append)
+        assert len(losses) == 4 and alive_at_batch == [0, 0, 0, 0]
+        assert len(logged) == 2 and logged[0].startswith("epoch 0: loss ")
 
     def test_resume_is_bitwise_continuation(self, tmp_path):
         cfg = _tiny_cfg(train={"epochs": 4, "checkpoint_every": 2})
