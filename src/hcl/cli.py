@@ -22,7 +22,7 @@ from .gradcheck import TOLERANCE, framework_gradcheck_suite, op_gradcheck_suite
 from .metrics import (linear_probe, project_2d, uniformity,
                       uniformity_positive, write_report)
 from .rng import substream
-from .tensor import NonFiniteError, Tensor, l2_normalize
+from .tensor import NonFiniteError, Tensor, l2_normalize, no_tape
 from .train import (encoder_of, extract_features, load_pretrained, pretrain)
 
 
@@ -104,8 +104,9 @@ def _encode_view_pairs(fw, records, cfg: ExperimentConfig, batch: int = 64):
         rngs = [substream(cfg.seed, "metrics-views", lo + i) for i in range(len(chunk))]
         va, vb = augment_batch([r.image for r in chunk], aug_cfg, rngs)
         xa, xb = to_unit_float_batch(va), to_unit_float_batch(vb)
-        fa.append(l2_normalize(enc.forward(Tensor(xa))).data.copy())
-        fb.append(l2_normalize(enc.forward(Tensor(xb))).data.copy())
+        with no_tape():
+            fa.append(l2_normalize(enc.forward(Tensor(xa))).data.copy())
+            fb.append(l2_normalize(enc.forward(Tensor(xb))).data.copy())
     return np.concatenate(fa), np.concatenate(fb)
 
 

@@ -43,6 +43,7 @@ from .tensor import (
     matmul,
     mean,
     multiply,
+    no_tape,
     scalar_multiply,
     softmax_cross_entropy,
     sum_,
@@ -312,14 +313,21 @@ class MoCoFramework(_FrameworkBase):
         return out
 
     def encode_keys(self, x: np.ndarray) -> np.ndarray:
-        """Detached normalized key features; used to prime the queue."""
-        k = l2_normalize(self.key.forward(Tensor(np.asarray(x, dtype=np.float64))))
+        """Normalized key features of ``x``, computed without a tape.
+
+        Training primes the empty queue with ``encode_keys(x2)`` of the
+        first batch, i.e. with that batch's own keys, so at step 0 every
+        positive key also sits among the negatives.
+        """
+        with no_tape():
+            k = l2_normalize(self.key.forward(Tensor(np.asarray(x, dtype=np.float64))))
         return k.data.copy()
 
     def forward_loss(self, x1, x2, lambdas):
         q = l2_normalize(self.query.forward(Tensor(np.asarray(x1, dtype=np.float64))))
-        k_live = l2_normalize(self.key.forward(Tensor(np.asarray(x2, dtype=np.float64))))
-        k = k_live.detach()
+        # The key encoder is never trained by gradients: no tape to build.
+        with no_tape():
+            k = l2_normalize(self.key.forward(Tensor(np.asarray(x2, dtype=np.float64))))
         negatives = self.queue.entries()
         if negatives.shape[0] == 0:
             raise QueueEmptyError(
@@ -437,8 +445,9 @@ class SimSiamFramework(_FrameworkBase):
         perturbed; the analytic gradient already treats them as constants,
         so differencing the raw loss would measure a different function.
         """
-        z1 = self.encoder.forward(Tensor(np.asarray(x1, dtype=np.float64)))
-        z2 = self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64)))
+        with no_tape():
+            z1 = self.encoder.forward(Tensor(np.asarray(x1, dtype=np.float64)))
+            z2 = self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64)))
         return z2.data.copy(), z1.data.copy()
 
     def _direction(self, za: Tensor, target: Tensor, lams):

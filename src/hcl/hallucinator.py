@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
 from .tensor import Parameter, ShapeMismatchError, Tensor, add, concat, matmul, multiply, relu
 
 # Named lambda-range presets: "wide" won the range ablation and is the
@@ -158,8 +157,3 @@ def hallucinate(q: Tensor, q_prime: Tensor, params: HallucinatorParams) -> Tenso
         if i < params.n - 1:
             h = relu(h)
     return h.reshape(d) if squeeze else h
-
-
-def default_hallucinator(d: int, n: int, seed: int) -> HallucinatorParams:
-    """Seed-deterministic construction used by the trainers."""
-    return init_hallucinator(d, n, substream(seed, "hallucinator"))

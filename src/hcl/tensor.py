@@ -9,18 +9,81 @@ Supported operation kinds: matmul, add, scalar multiply, elementwise
 multiply, relu, exp, mean, sum, concat, L2-normalize, reshape, transpose,
 2-D convolution, 2-D average pooling, softmax cross-entropy with logits.
 
+No-tape mode: inside `with no_tape():` every op still computes and
+checks its output, but the result records no parents, no backward closure
+and `requires_grad=False`.  Forward-only passes (MoCo's key encoder,
+stop-gradient targets, feature extraction) use it, so each op's working
+buffers (conv2d's `colsT` and padded input, earlier activations) are
+freed as soon as the next op has read them rather than when the pass
+returns.  `backward()` on such an output raises the empty-tape error.
+
 Finiteness invariant: `_make` rejects any op output holding NaN or Inf,
-and ops check only their leaf inputs (tensors with no parents) on entry.
-This suffices because op outputs are never mutated after creation; the
-only in-place writes go to Parameters, which are leaves.  A non-finite
-value is therefore reported by the op that produced it.
+and ops check only their leaf and detached inputs on entry (`_kind`
+"leaf" or "detach"), with or without a tape.  This suffices because op
+outputs are never mutated after creation; the only in-place writes go to
+Parameters, which are leaves.  Each array is therefore scanned once, and
+a non-finite value is reported by the op that produced it.
+
+Memory: importing this module on glibc raises malloc's mmap and trim
+thresholds (`mallopt`) for the whole process, so the multi-MB arrays a
+step frees stay in the heap and are reused by the next step instead of
+being unmapped and faulted in again as fresh zeroed pages.  Other libcs
+are left alone.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
+
+# glibc <malloc.h> parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc caps the mmap threshold at 32 MiB on 64-bit builds; the largest
+# per-step array at the desk config (conv2d's layer-1 `colsT`) is ~19 MB.
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+_TRIM_THRESHOLD = 256 * 1024 * 1024
+
+
+def _retain_heap() -> None:
+    """Keep freed multi-MB arrays in the malloc heap (glibc only)."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success; lift the trim threshold only once
+    # large blocks are known to come from the heap.
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_retain_heap()
+
+_tape = True
+
+
+@contextmanager
+def no_tape():
+    """Run ops without recording them; outputs are constants.
+
+    Nests, and restores the previous mode on exit, also on exceptions.
+    The mode is process-wide, not per thread.
+    """
+    global _tape
+    previous = _tape
+    _tape = False
+    try:
+        yield
+    finally:
+        _tape = previous
 
 
 class ShapeMismatchError(ValueError):
@@ -200,8 +263,13 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, kind: str) ->
     out = Tensor.__new__(Tensor)
     out.data = _as_array(data)
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
     out._kind = kind
+    if not _tape:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        return out
+    out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -213,7 +281,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, kind: str) ->
 
 def _check_inputs(kind: str, *tensors: Tensor) -> None:
     for t in tensors:
-        if not t._parents:
+        if t._kind in ("leaf", "detach"):
             _check_finite(t.data, kind, "input")
 
 

@@ -10,6 +10,7 @@ the exact run.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,6 +159,37 @@ def save_training_checkpoint(path, fw: _FrameworkBase, opt: SGD,
     save_checkpoint(path, _framework_state(fw, opt), meta)
 
 
+def _flatten(tree: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _check_resume_config(meta: dict, cfg: ExperimentConfig) -> None:
+    """Reject a resume whose configuration differs from the checkpoint's.
+
+    Only ``train.epochs`` may change, so that a finished run can be
+    extended; any other difference would continue a different run.  The
+    error names every differing key in dotted form, e.g. ``train.lr``.
+    """
+    if "config" not in meta:
+        raise ValueError("checkpoint has no embedded config to resume from")
+    saved = _flatten(meta["config"])
+    # a JSON round trip gives both sides the checkpoint's types
+    current = _flatten(json.loads(json.dumps(cfg.resolved_dict())))
+    missing = object()
+    drift = [f"{key}: checkpoint {saved.get(key)!r}, configured {current.get(key)!r}"
+             for key in sorted(saved.keys() | current.keys())
+             if key != "train.epochs"
+             and saved.get(key, missing) != current.get(key, missing)]
+    if drift:
+        raise ValueError("resume config does not match checkpoint: " + "; ".join(drift))
+
+
 def _truncate_metrics(path: Path, global_step: int) -> None:
     """Keep the header and the rows of steps before ``global_step``.
 
@@ -180,6 +212,11 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
     earlier checkpoint; training continues from its epoch boundary and
     produces rows identical to the uninterrupted run.  An existing
     ``metrics.csv`` is first cut back to the rows before the checkpoint.
+    The configuration must equal the checkpoint's except ``train.epochs``.
+
+    MoCo's queue starts empty and is primed before step 0 with the first
+    batch's own keys, ``encode_keys(x2)``, so every positive key also sits
+    among the step-0 negatives.
     """
     cfg.validate()
     out_dir = Path(out_dir)
@@ -204,13 +241,7 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
     start_epoch = 0
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
-        if meta.get("framework") != fw.name:
-            raise ValueError(
-                f"checkpoint framework {meta.get('framework')!r} does not "
-                f"match configured {fw.name!r}"
-            )
-        if int(meta.get("seed", -1)) != seed:
-            raise ValueError("checkpoint seed does not match configured seed")
+        _check_resume_config(meta, cfg)
         _restore_framework(fw, opt, arrays, meta)
         global_step = int(meta["global_step"])
         start_epoch = int(meta["next_epoch"])
@@ -306,7 +337,7 @@ def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
     Images are resized (never randomly cropped), encoded, and optionally
     L2-normalized.  Weights are read, not written.
     """
-    from .tensor import Tensor, l2_normalize
+    from .tensor import Tensor, l2_normalize, no_tape
 
     enc = encoder_of(fw)
     feats = []
@@ -314,8 +345,9 @@ def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
     for lo in range(0, len(records), batch):
         chunk = records[lo:lo + batch]
         x = np.stack([eval_view(r.image, out_size) for r in chunk])
-        z = enc.forward(Tensor(x))
-        if normalize:
-            z = l2_normalize(z)
+        with no_tape():
+            z = enc.forward(Tensor(x))
+            if normalize:
+                z = l2_normalize(z)
         feats.append(z.data.copy())
     return np.concatenate(feats, axis=0), labels

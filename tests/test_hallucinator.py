@@ -8,12 +8,12 @@ from hcl.hallucinator import (
     RANGE_PRESETS,
     ExtrapolationConfig,
     HallucinatorParams,
-    default_hallucinator,
     extrapolate,
     hallucinate,
     init_hallucinator,
     sample_lambda,
 )
+from hcl.rng import substream
 from hcl.tensor import Parameter, ShapeMismatchError, Tensor, mean, multiply
 
 
@@ -161,8 +161,8 @@ class TestInitHallucinator:
             init_hallucinator(8, -1, rng)
 
     def test_seeded_construction_deterministic(self):
-        a = default_hallucinator(8, 2, seed=11)
-        b = default_hallucinator(8, 2, seed=11)
+        a = init_hallucinator(8, 2, substream(11, "hallucinator"))
+        b = init_hallucinator(8, 2, substream(11, "hallucinator"))
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             assert np.array_equal(wa.data, wb.data)
             assert np.array_equal(ba.data, bb.data)

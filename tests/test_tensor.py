@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import hcl.tensor
+from hcl.encoder import ConvEncoder, EncoderConfig
 from hcl.tensor import (
     NonFiniteError,
     Parameter,
@@ -20,6 +22,7 @@ from hcl.tensor import (
     matmul,
     mean,
     multiply,
+    no_tape,
     relu,
     reshape,
     scalar_multiply,
@@ -357,3 +360,89 @@ class TestBackward:
         loss = mean(out)
         loss.backward()
         assert np.array_equal(x.grad, [0.0, 0.0])
+
+
+def _small_encoder(seed=0):
+    cfg = EncoderConfig(channels=(4, 8), hidden_dim=16, feature_dim=8)
+    return ConvEncoder(cfg, 8, np.random.default_rng(seed))
+
+
+def _records_tape() -> bool:
+    x = Tensor([1.0], requires_grad=True)
+    return bool(add(x, x)._parents)
+
+
+class TestNoTape:
+    def test_encoder_forward_matches_taped(self):
+        enc = _small_encoder()
+        x = Tensor(np.random.default_rng(1).random((5, 3, 8, 8)))
+        taped = l2_normalize(enc.forward(x))
+        with no_tape():
+            free = l2_normalize(enc.forward(x))
+        assert np.array_equal(free.data, taped.data)
+        assert taped._parents and taped.requires_grad
+        assert free._parents == () and free._backward is None and not free.requires_grad
+
+    def test_mode_restored_after_nesting(self):
+        assert _records_tape()
+        with no_tape():
+            with no_tape():
+                assert not _records_tape()
+            assert not _records_tape()
+        assert _records_tape()
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with no_tape():
+                raise RuntimeError("boom")
+        assert _records_tape()
+
+    def test_backward_on_no_tape_output_raises(self):
+        w = Parameter(np.array([1.0, 2.0]), name="w")
+        with no_tape():
+            loss = mean(multiply(w, w))
+        with pytest.raises(ValueError, match="empty tape"):
+            loss.backward()
+        assert not w.grad.any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_nan_named_by_producing_op(self, monkeypatch):
+        # finite input; the pooled window sums to inf + (-inf) = NaN
+        x = Tensor([1e308, 1e308, -1e308, -1e308])
+        seen = []
+        check = hcl.tensor._check_finite
+
+        def recording(arr, kind, role):
+            seen.append((kind, bool(np.isnan(arr).any())))
+            check(arr, kind, role)
+
+        monkeypatch.setattr(hcl.tensor, "_check_finite", recording)
+        with no_tape():
+            with pytest.raises(NonFiniteError, match=r"^avg_pool2d: non-finite values in output$"):
+                relu(avg_pool2d(reshape(x, (1, 1, 2, 2))))
+        assert seen[-1] == ("avg_pool2d", True)
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_each_array_checked_once(self, monkeypatch, taped):
+        enc = _small_encoder()
+        x = Tensor(np.random.default_rng(3).random((2, 3, 8, 8)))
+        seen = []
+        check = hcl.tensor._check_finite
+
+        def counting(arr, kind, role):
+            seen.append((arr, role))
+            check(arr, kind, role)
+
+        monkeypatch.setattr(hcl.tensor, "_check_finite", counting)
+        if taped:
+            out = l2_normalize(enc.forward(x))
+        else:
+            with no_tape():
+                out = l2_normalize(enc.forward(x))
+        # 3 ops per conv layer, then reshape, 2 x (matmul, add), relu, l2_normalize
+        n_ops = 3 * len(enc.convs) + 7
+        outputs = [a for a, role in seen if role == "output"]
+        inputs = [a for a, role in seen if role == "input"]
+        assert len(outputs) == n_ops and outputs[-1] is out.data
+        assert len(inputs) == 1 + len(enc.parameters())
+        assert len({id(a) for a, _ in seen}) == len(seen)

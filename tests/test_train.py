@@ -1,6 +1,10 @@
 """Optimizer semantics, schedules, and end-to-end training determinism."""
 
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +237,42 @@ class TestPretrain:
         with pytest.raises(ValueError, match="seed"):
             pretrain(other, records, tmp_path / "b", resume=res.checkpoint_path)
 
+    def test_resume_rejects_config_drift_by_dotted_key(self, tmp_path):
+        cfg = _tiny_cfg(train={"epochs": 1})
+        records = _tiny_records(cfg)
+        res = pretrain(cfg, records, tmp_path / "a")
+        other = _tiny_cfg(train={"epochs": 2, "lr": 0.1})
+        with pytest.raises(ValueError, match=r"train\.lr") as err:
+            pretrain(other, records, tmp_path / "b", resume=res.checkpoint_path)
+        assert "train.epochs" not in str(err.value)
+
+    def test_resume_may_extend_epochs(self, tmp_path):
+        cfg = _tiny_cfg(train={"epochs": 1})
+        records = _tiny_records(cfg)
+        res = pretrain(cfg, records, tmp_path)
+        longer = _tiny_cfg(train={"epochs": 3})
+        more = pretrain(longer, records, tmp_path, resume=res.checkpoint_path)
+        steps_per_epoch = len(records) // cfg.train.batch_size
+        assert more.global_step == 3 * steps_per_epoch
+        assert [int(r.split(",")[1]) for r in more.rows] == [1, 1, 2, 2]
+        assert len(more.metrics_path.read_text().splitlines()) == 1 + 3 * steps_per_epoch
+
+    def test_moco_queue_primed_with_first_batch_keys(self, tmp_path, monkeypatch):
+        forward_loss = hcl.frameworks.MoCoFramework.forward_loss
+        first = []
+
+        def watched(self, x1, x2, lambdas):
+            if not first:
+                first.append((self.queue.entries(), self.encode_keys(x2)))
+            return forward_loss(self, x1, x2, lambdas)
+
+        monkeypatch.setattr(hcl.frameworks.MoCoFramework, "forward_loss", watched)
+        cfg = _tiny_cfg(train={"epochs": 1})
+        pretrain(cfg, _tiny_records(cfg), tmp_path)
+        entries, keys = first[0]
+        assert entries.shape == (cfg.train.batch_size, cfg.encoder.feature_dim)
+        assert np.array_equal(entries, keys)
+
     def test_dataset_smaller_than_batch_rejected(self, tmp_path):
         cfg = _tiny_cfg(train={"batch_size": 64})
         records = _tiny_records(cfg)
@@ -297,3 +337,44 @@ class TestFeatureExtraction:
         records = _tiny_records(cfg)
         res = pretrain(cfg, records, tmp_path)
         assert encoder_of(res.framework) is res.framework.query
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Run in a fresh process: heap thresholds are process-wide and glibc's
+# defaults adapt to whatever earlier tests allocated.
+_REPEAT_STEP_FAULTS = """
+import resource
+import numpy as np
+from hcl.encoder import ConvEncoder, EncoderConfig
+from hcl.tensor import Tensor, mean
+
+enc = ConvEncoder(EncoderConfig(), 32, np.random.default_rng(0))
+x = np.random.default_rng(1).random((16, 3, 32, 32))
+
+def step():
+    for p in enc.parameters():
+        p.zero_grad()
+    mean(enc.forward(Tensor(x))).backward()
+
+step()  # warm-up: the heap grows to one step's peak
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the retained heap is set up on glibc only")
+def test_repeat_step_reuses_freed_memory():
+    src = str(Path(hcl.train.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _REPEAT_STEP_FAULTS], env=env,
+                         capture_output=True, text=True, check=True)
+    # Unmapping and re-faulting every freed multi-MB array costs thousands.
+    assert int(out.stdout) < 100
