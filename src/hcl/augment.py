@@ -34,9 +34,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Image
+from .data import Image, hsv_to_rgb
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
+# Bounds of the log-uniform crop aspect ratio (width / height).
+ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 
 
 @dataclass
@@ -54,11 +56,13 @@ class CropRegion:
 
 @dataclass
 class AugmentConfig:
+    """The ``augment`` section of an experiment config."""
+
     p: float = 0.5  # center-crop side ratio for view 1
     alpha: float = 0.6  # Beta(alpha, alpha) shape for crop-center placement
     out_size: int = 32
-    scale_range: tuple[float, float] = (0.2, 1.0)
-    aspect_range: tuple[float, float] = (3.0 / 4.0, 4.0 / 3.0)
+    scale_min: float = 0.2  # crop area fraction bounds
+    scale_max: float = 1.0
     jitter_strength: float = 0.4
     grayscale_prob: float = 0.2
     flip_prob: float = 0.5
@@ -67,21 +71,16 @@ class AugmentConfig:
 
     def validate(self) -> None:
         if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must be in (0,1]")
+            raise ValueError("augment.p must be in (0, 1]")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0,1)")
-        if self.out_size < 1:
-            raise ValueError("out_size must be >= 1")
-        lo, hi = self.scale_range
-        if not 0.0 < lo <= hi <= 1.0:
-            raise ValueError("scale_range must satisfy 0 < min <= max <= 1")
-        alo, ahi = self.aspect_range
-        if not 0.0 < alo <= ahi:
-            raise ValueError("aspect_range must satisfy 0 < min <= max")
-        for name in ("jitter_strength", "grayscale_prob", "flip_prob", "blur_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1]")
+            raise ValueError("augment.alpha must be in (0, 1)")
+        if self.out_size < 4:
+            raise ValueError("augment.out_size must be >= 4")
+        if not 0.0 < self.scale_min <= self.scale_max <= 1.0:
+            raise ValueError("augment.scale_min/scale_max must satisfy 0 < min <= max <= 1")
+        for key in ("jitter_strength", "grayscale_prob", "flip_prob", "blur_prob"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"augment.{key} must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -139,17 +138,17 @@ def sample_beta(alpha: float, rng: np.random.Generator) -> float:
 def _draw_crop(h: int, w: int, cfg: AugmentConfig, rng: np.random.Generator) -> CropRegion:
     """Random crop of an h x w source with a Beta-placed center.
 
-    Crop area fraction is uniform over scale_range with log-uniform
-    aspect ratio in aspect_range; after 10 rejected size attempts the
-    crop falls back to the largest centered square.  The crop center is
-    placed at Beta(alpha, alpha) draws mapped over the feasible center
-    range of each axis.
+    Crop area fraction is uniform over [scale_min, scale_max] with
+    log-uniform aspect ratio in ASPECT_RANGE; after 10 rejected size
+    attempts the crop falls back to the largest centered square.  The crop
+    center is placed at Beta(alpha, alpha) draws mapped over the feasible
+    center range of each axis.
     """
     area = float(h * w)
     ch = cw = 0
     for _ in range(10):
-        target = area * rng.uniform(cfg.scale_range[0], cfg.scale_range[1])
-        log_lo, log_hi = np.log(cfg.aspect_range[0]), np.log(cfg.aspect_range[1])
+        target = area * rng.uniform(cfg.scale_min, cfg.scale_max)
+        log_lo, log_hi = np.log(ASPECT_RANGE[0]), np.log(ASPECT_RANGE[1])
         ratio = float(np.exp(rng.uniform(log_lo, log_hi)))
         tw = int(round(np.sqrt(target * ratio)))
         th = int(round(np.sqrt(target / ratio)))
@@ -271,19 +270,6 @@ def _rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hue, s, maxc
 
 
-def _hsv_to_rgb(hue: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h6 = (hue % 1.0) * 6.0
-    sector = np.floor(h6)
-    i = sector.astype(np.int64) % 6
-    f = h6 - sector
-    p = v * (1 - s)
-    q = v * (1 - s * f)
-    t = v * (1 - s * (1 - f))
-    return np.stack([np.choose(i, (v, q, p, p, t, v)),
-                     np.choose(i, (t, v, v, q, p, p)),
-                     np.choose(i, (p, p, t, v, v, q))], axis=-1)
-
-
 def _grayscale(x: np.ndarray) -> np.ndarray:
     g = x @ GRAY_WEIGHTS
     return np.repeat(g[..., None], 3, axis=-1)
@@ -329,7 +315,7 @@ def _shift_hue(rgb: np.ndarray, shift: np.ndarray) -> np.ndarray:
     hue, sat, val = _rgb_to_hsv(rgb)
     hue += shift
     hue %= 1.0
-    return np.clip(_hsv_to_rgb(hue, sat, val), 0.0, 1.0)
+    return np.clip(hsv_to_rgb(hue, sat, val), 0.0, 1.0)
 
 
 def _apply_where(x: np.ndarray, mask: np.ndarray, fn) -> None:

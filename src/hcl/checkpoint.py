@@ -86,3 +86,19 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if r.off != len(r.blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     return arrays, meta
+
+
+def load_named(targets: dict[str, np.ndarray], arrays: dict[str, np.ndarray],
+               what: str) -> None:
+    """Copy ``arrays[name]`` into each target array in place.
+
+    Every name is checked first, so a missing array (KeyError) or one of
+    the wrong shape (ValueError) leaves all targets untouched.
+    """
+    for name, dst in targets.items():
+        if name not in arrays:
+            raise KeyError(f"checkpoint is missing {what} {name}")
+        if arrays[name].shape != dst.shape:
+            raise ValueError(f"checkpoint {what} {name} has wrong shape")
+    for name, dst in targets.items():
+        dst[...] = arrays[name]

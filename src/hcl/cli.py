@@ -23,7 +23,7 @@ from .metrics import (linear_probe, project_2d, uniformity,
                       uniformity_positive, write_report)
 from .rng import substream
 from .tensor import NonFiniteError, Tensor, l2_normalize, no_tape
-from .train import (encoder_of, extract_features, load_pretrained, pretrain)
+from .train import extract_features, load_pretrained, pretrain
 
 
 def _write_echo(out_dir: Path, cfg: ExperimentConfig) -> None:
@@ -96,13 +96,12 @@ def _cmd_probe(args) -> int:
 
 def _encode_view_pairs(fw, records, cfg: ExperimentConfig, batch: int = 64):
     """Features of two augmented views per record, for positive-pair stats."""
-    aug_cfg = cfg.augment.to_augment_config()
-    enc = encoder_of(fw)
+    enc = fw.feature_encoder
     fa, fb = [], []
     for lo in range(0, len(records), batch):
         chunk = records[lo:lo + batch]
         rngs = [substream(cfg.seed, "metrics-views", lo + i) for i in range(len(chunk))]
-        va, vb = augment_batch([r.image for r in chunk], aug_cfg, rngs)
+        va, vb = augment_batch([r.image for r in chunk], cfg.augment, rngs)
         xa, xb = to_unit_float_batch(va), to_unit_float_batch(vb)
         with no_tape():
             fa.append(l2_normalize(enc.forward(Tensor(xa))).data.copy())

@@ -43,75 +43,6 @@ class DataSection:
 
 
 @dataclass
-class AugmentSection:
-    p: float = 0.5
-    alpha: float = 0.6
-    out_size: int = 32
-    scale_min: float = 0.2
-    scale_max: float = 1.0
-    jitter_strength: float = 0.4
-    grayscale_prob: float = 0.2
-    flip_prob: float = 0.5
-    blur_prob: float = 0.5
-    center_crop_both: bool = False
-
-    def validate(self) -> None:
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError("augment.p must be in (0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("augment.alpha must be in (0, 1)")
-        if self.out_size < 4:
-            raise ConfigError("augment.out_size must be >= 4")
-        if not 0.0 < self.scale_min <= self.scale_max <= 1.0:
-            raise ConfigError(
-                "augment.scale_min/scale_max must satisfy 0 < min <= max <= 1"
-            )
-        for key in ("jitter_strength", "grayscale_prob", "flip_prob", "blur_prob"):
-            v = getattr(self, key)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"augment.{key} must be in [0, 1]")
-
-    def to_augment_config(self) -> AugmentConfig:
-        return AugmentConfig(
-            p=self.p,
-            alpha=self.alpha,
-            out_size=self.out_size,
-            scale_range=(self.scale_min, self.scale_max),
-            jitter_strength=self.jitter_strength,
-            grayscale_prob=self.grayscale_prob,
-            flip_prob=self.flip_prob,
-            blur_prob=self.blur_prob,
-            center_crop_both=self.center_crop_both,
-        )
-
-
-@dataclass
-class EncoderSection:
-    channels: list[int] = field(default_factory=lambda: [16, 32, 64])
-    kernel: int = 3
-    hidden_dim: int = 128
-    feature_dim: int = 64
-
-    def validate(self) -> None:
-        if not self.channels or any(c < 1 for c in self.channels):
-            raise ConfigError("encoder.channels must be a non-empty list of ints >= 1")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError("encoder.kernel must be an odd int >= 1")
-        if self.hidden_dim < 1:
-            raise ConfigError("encoder.hidden_dim must be >= 1")
-        if self.feature_dim < 2:
-            raise ConfigError("encoder.feature_dim must be >= 2")
-
-    def to_encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            channels=tuple(self.channels),
-            kernel=self.kernel,
-            hidden_dim=self.hidden_dim,
-            feature_dim=self.feature_dim,
-        )
-
-
-@dataclass
 class HallucinatorSection:
     enabled: bool = True
     layers: int = 3
@@ -220,8 +151,8 @@ class MetricsSection:
 
 _SECTIONS = {
     "data": DataSection,
-    "augment": AugmentSection,
-    "encoder": EncoderSection,
+    "augment": AugmentConfig,
+    "encoder": EncoderConfig,
     "hallucinator": HallucinatorSection,
     "contrast": ContrastSection,
     "train": TrainSection,
@@ -235,8 +166,8 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     framework: str = "moco"
     data: DataSection = field(default_factory=DataSection)
-    augment: AugmentSection = field(default_factory=AugmentSection)
-    encoder: EncoderSection = field(default_factory=EncoderSection)
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
     hallucinator: HallucinatorSection = field(default_factory=HallucinatorSection)
     contrast: ContrastSection = field(default_factory=ContrastSection)
     train: TrainSection = field(default_factory=TrainSection)
@@ -250,8 +181,13 @@ class ExperimentConfig:
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed must be an integer")
-        for name in _SECTIONS:
-            getattr(self, name).validate()
+        try:
+            for name in _SECTIONS:
+                getattr(self, name).validate()
+        except ValueError as exc:
+            # the augment and encoder sections are the runtime configs,
+            # which raise plain ValueError
+            raise ConfigError(str(exc)) from None
 
     def framework_config(self) -> FrameworkConfig:
         b1, b2 = self.hallucinator.resolved_betas()
@@ -300,7 +236,7 @@ def _coerce_section(cls, name: str, raw: dict):
         merged = dict(TRAIN_PRESETS[preset])
         merged.update({k: v for k, v in kwargs.items() if k != "preset"})
         kwargs = {"preset": preset, **merged}
-    if cls is EncoderSection and "channels" in kwargs:
+    if cls is EncoderConfig and "channels" in kwargs:
         ch = kwargs["channels"]
         if not isinstance(ch, list) or not all(isinstance(c, int) for c in ch):
             raise ConfigError("encoder.channels must be a list of ints")

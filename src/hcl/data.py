@@ -81,14 +81,19 @@ def save_cifar_batch(records: list[DatasetRecord], path: str | os.PathLike) -> N
     out.tofile(os.fspath(path))
 
 
-def _hue_to_rgb(hue: float, sat: float, val: float) -> np.ndarray:
-    """Single HSV triple to float RGB in [0, 1]."""
+def hsv_to_rgb(hue, s, v) -> np.ndarray:
+    """HSV to float RGB, elementwise over broadcastable arrays or scalars;
+    the channel axis is appended last."""
     h6 = (hue % 1.0) * 6.0
-    i = int(h6) % 6
-    f = h6 - int(h6)
-    p, q, t = val * (1 - sat), val * (1 - sat * f), val * (1 - sat * (1 - f))
-    table = [(val, t, p), (q, val, p), (p, val, t), (p, q, val), (t, p, val), (val, p, q)]
-    return np.array(table[i])
+    sector = np.floor(h6)
+    i = sector.astype(np.int64) % 6
+    f = h6 - sector
+    p = v * (1 - s)
+    q = v * (1 - s * f)
+    t = v * (1 - s * (1 - f))
+    return np.stack([np.choose(i, (v, q, p, p, t, v)),
+                     np.choose(i, (t, v, v, q, p, p)),
+                     np.choose(i, (p, p, t, v, v, q))], axis=-1)
 
 
 def make_synthetic_records(classes: int, per_class: int, seed: int) -> list[DatasetRecord]:
@@ -108,8 +113,8 @@ def make_synthetic_records(classes: int, per_class: int, seed: int) -> list[Data
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
     records = []
     for c in range(classes):
-        base = _hue_to_rgb(c / classes, 0.75, 0.8) * 255.0
-        blob = _hue_to_rgb(c / classes + 0.5, 0.9, 1.0) * 255.0
+        base = hsv_to_rgb(c / classes, 0.75, 0.8) * 255.0
+        blob = hsv_to_rgb(c / classes + 0.5, 0.9, 1.0) * 255.0
         angle = 2.0 * np.pi * c / classes
         cy = side / 2 + 8.0 * np.sin(angle)
         cx = side / 2 + 8.0 * np.cos(angle)

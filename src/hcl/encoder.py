@@ -8,7 +8,7 @@ two-layer MLP onto the feature width d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,18 +17,26 @@ from .tensor import Parameter, Tensor, add, avg_pool2d, conv2d, matmul, relu
 
 @dataclass
 class EncoderConfig:
-    channels: tuple[int, ...] = (16, 32, 64)
+    """The ``encoder`` section of an experiment config."""
+
+    channels: list[int] = field(default_factory=lambda: [16, 32, 64])
     kernel: int = 3
     hidden_dim: int = 128
     feature_dim: int = 64
 
     def validate(self) -> None:
         if not self.channels or any(c < 1 for c in self.channels):
-            raise ValueError("channels must be a non-empty sequence of positive ints")
-        if self.kernel % 2 != 1:
-            raise ValueError("kernel must be odd (same-padding)")
-        if self.hidden_dim < 1 or self.feature_dim < 1:
-            raise ValueError("hidden_dim and feature_dim must be >= 1")
+            raise ValueError("encoder.channels must be a non-empty list of ints >= 1")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError("encoder.kernel must be an odd int >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError("encoder.hidden_dim must be >= 1")
+        if self.feature_dim < 2:
+            raise ValueError("encoder.feature_dim must be >= 2")
+
+    def to_encoder_config(self) -> "EncoderConfig":
+        # Kept for perfbench/worker.py, which builds a framework through it.
+        return self
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):

@@ -13,8 +13,27 @@ extrapolation branch and exposes the same interface:
       The momentum framework updates its key encoder and queue here; the
       others are no-ops.
 
+  prime(x)
+      Called once before step 0 with the first batch's second views.  The
+      momentum framework fills its empty queue with their keys; the others
+      are no-ops.
+
+  state_arrays() / load_state_arrays(arrays)
+      Every persistent array by unique name (``named_tensors()`` plus the
+      momentum framework's ``queue.entries``), and the one restore path
+      that checks each tensor is present with its shape before copying.
+
+  feature_encoder
+      The encoder whose features downstream evaluation uses.
+
+  loss_closure(x1, x2, lambdas)
+      The loss as a function of the weights alone, for finite differences;
+      the stop-gradient framework holds its targets fixed in it.
+
 Keeping ``forward_loss`` pure lets the finite-difference gradient checker
-call it repeatedly without touching queues or momentum copies.
+call it repeatedly without touching queues or momentum copies.  A new
+recipe is one subclass (its encoders, ``trainable_parameters`` and
+``forward_loss``) plus its entry in ``FRAMEWORKS``.
 """
 
 from __future__ import annotations
@@ -23,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import load_named
 from .encoder import MLP, ConvEncoder, EncoderConfig
 from .hallucinator import (
     ExtrapolationConfig,
@@ -50,7 +70,8 @@ from .tensor import (
     transpose,
 )
 
-FRAMEWORK_NAMES = ("moco", "simclr", "simsiam")
+# SimSiam's predictor bottleneck: hidden width feature_dim // 4.
+PREDICTOR_HIDDEN_DIVISOR = 4
 
 
 class QueueEmptyError(RuntimeError):
@@ -205,7 +226,6 @@ class FrameworkConfig:
     hallucinator_layers: int = 3
     extrapolation: ExtrapolationConfig = field(default_factory=ExtrapolationConfig)
     pair_weight: float = 0.5
-    predictor_hidden_divisor: int = 4
     hallucinate_after_predictor: bool = False
 
     def validate(self) -> None:
@@ -219,8 +239,6 @@ class FrameworkConfig:
             raise ValueError("hallucinator_layers must be >= 0")
         if not 0.0 <= self.pair_weight <= 1.0:
             raise ValueError("pair_weight must be in [0, 1]")
-        if self.predictor_hidden_divisor < 1:
-            raise ValueError("predictor_hidden_divisor must be >= 1")
         self.extrapolation.validate()
 
 
@@ -263,15 +281,37 @@ class _FrameworkBase:
     def after_update(self, aux: dict) -> None:
         return None
 
+    def prime(self, x) -> None:
+        return None
+
+    @property
+    def feature_encoder(self) -> ConvEncoder:
+        return self.encoder
+
     def trainable_parameters(self) -> list[Parameter]:
         raise NotImplementedError
 
     def named_tensors(self) -> dict[str, np.ndarray]:
+        """Every weight array, keyed by its unique parameter name."""
+        return {p.name: p.data for p in self.trainable_parameters()}
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
         """Every persistent array, keyed by a unique name (for checkpoints)."""
-        raise NotImplementedError
+        return self.named_tensors()
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy saved arrays into the weights, after checking that each
+        one is present with the right shape."""
+        load_named(self.named_tensors(), arrays, "tensor")
 
     def forward_loss(self, x1, x2, lambdas):
         raise NotImplementedError
+
+    def loss_closure(self, x1, x2, lambdas):
+        """The scalar loss as a function of the current weights alone, the
+        function its analytic gradient differentiates (for finite
+        differences)."""
+        return lambda: self.forward_loss(x1, x2, lambdas)[0]
 
     # -- helpers ------------------------------------------------------
 
@@ -303,20 +343,36 @@ class MoCoFramework(_FrameworkBase):
         self.key.copy_from(self.query)
         self.queue = FeatureQueue(cfg.queue_size, enc_cfg.feature_dim)
 
+    @property
+    def feature_encoder(self) -> ConvEncoder:
+        return self.query
+
+    def prime(self, x) -> None:
+        self.queue.push(self.encode_keys(x))
+
     def trainable_parameters(self) -> list[Parameter]:
         return self.query.parameters() + self._hall_params()
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {p.name: p.data for p in self.query.parameters()}
+        out = super().named_tensors()
         out.update({p.name: p.data for p in self.key.parameters()})
-        out.update({p.name: p.data for p in self._hall_params()})
         return out
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {**self.named_tensors(), "queue.entries": self.queue.entries()}
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Weights as in the base class; the queue too when it was saved."""
+        super().load_state_arrays(arrays)
+        if "queue.entries" in arrays:
+            self.queue.load_state({"entries": arrays["queue.entries"],
+                                   "capacity": self.queue.capacity})
 
     def encode_keys(self, x: np.ndarray) -> np.ndarray:
         """Normalized key features of ``x``, computed without a tape.
 
-        Training primes the empty queue with ``encode_keys(x2)`` of the
-        first batch, i.e. with that batch's own keys, so at step 0 every
+        Training calls ``prime(x2)`` on the first batch, which fills the
+        empty queue with that batch's own keys, so at step 0 every
         positive key also sits among the negatives.
         """
         with no_tape():
@@ -376,11 +432,6 @@ class SimCLRFramework(_FrameworkBase):
     def trainable_parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self._hall_params()
 
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {p.name: p.data for p in self.encoder.parameters()}
-        out.update({p.name: p.data for p in self._hall_params()})
-        return out
-
     def forward_loss(self, x1, x2, lambdas):
         b = np.asarray(x1).shape[0]
         if b < 2:
@@ -420,7 +471,7 @@ class SimSiamFramework(_FrameworkBase):
         self.encoder = ConvEncoder(enc_cfg, in_size, substream(seed, "encoder"),
                                    prefix="enc")
         d = enc_cfg.feature_dim
-        hidden = max(1, d // cfg.predictor_hidden_divisor)
+        hidden = max(1, d // PREDICTOR_HIDDEN_DIVISOR)
         self.predictor = MLP(d, hidden, d, substream(seed, "predictor"),
                              prefix="pred", bias_init=0.1)
 
@@ -431,12 +482,6 @@ class SimSiamFramework(_FrameworkBase):
     def trainable_parameters(self) -> list[Parameter]:
         return (self.encoder.parameters() + self.predictor.parameters()
                 + self._hall_params())
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {p.name: p.data for p in self.encoder.parameters()}
-        out.update({p.name: p.data for p in self.predictor.parameters()})
-        out.update({p.name: p.data for p in self._hall_params()})
-        return out
 
     def target_features(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
         """Stop-gradient targets for each direction, as plain arrays.
@@ -449,6 +494,10 @@ class SimSiamFramework(_FrameworkBase):
             z1 = self.encoder.forward(Tensor(np.asarray(x1, dtype=np.float64)))
             z2 = self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64)))
         return z2.data.copy(), z1.data.copy()
+
+    def loss_closure(self, x1, x2, lambdas):
+        frozen = self.target_features(x1, x2)
+        return lambda: self.forward_loss(x1, x2, lambdas, frozen_targets=frozen)[0]
 
     def _direction(self, za: Tensor, target: Tensor, lams):
         p = self.predictor.forward(za)
@@ -492,15 +541,14 @@ class SimSiamFramework(_FrameworkBase):
         return loss, diag, {}
 
 
+FRAMEWORKS = {cls.name: cls for cls in (MoCoFramework, SimCLRFramework, SimSiamFramework)}
+FRAMEWORK_NAMES = tuple(FRAMEWORKS)
+
+
 def build_framework(name: str, enc_cfg: EncoderConfig, in_size: int,
                     cfg: FrameworkConfig, seed: int) -> _FrameworkBase:
-    table = {
-        "moco": MoCoFramework,
-        "simclr": SimCLRFramework,
-        "simsiam": SimSiamFramework,
-    }
-    if name not in table:
+    if name not in FRAMEWORKS:
         raise ValueError(
-            f"unknown framework '{name}'; expected one of {sorted(table)}"
+            f"unknown framework '{name}'; expected one of {sorted(FRAMEWORKS)}"
         )
-    return table[name](enc_cfg, in_size, cfg, seed)
+    return FRAMEWORKS[name](enc_cfg, in_size, cfg, seed)

@@ -177,11 +177,11 @@ def framework_gradcheck_suite(data_seed: int = 1, fw_seed: int = 2,
     """FD check of every framework loss, extrapolation branch on and off.
 
     Uses a small encoder (one conv stage, feature_dim=8) and batch 4.
-    The stop-gradient framework is differenced with its targets frozen,
-    which is the function its analytic gradient actually differentiates.
+    Each framework's ``loss_closure`` is differenced, so the stop-gradient
+    framework's targets stay frozen, as its analytic gradient assumes.
     """
     from .encoder import EncoderConfig
-    from .frameworks import FrameworkConfig, build_framework
+    from .frameworks import FRAMEWORK_NAMES, FrameworkConfig, build_framework
     from .hallucinator import ExtrapolationConfig
 
     enc_cfg = EncoderConfig(channels=(4,), kernel=3, hidden_dim=16, feature_dim=dim)
@@ -190,29 +190,20 @@ def framework_gradcheck_suite(data_seed: int = 1, fw_seed: int = 2,
     x2 = rng.random((batch, 3, 8, 8))
 
     errors: dict[str, float] = {}
-    for name in ("moco", "simclr", "simsiam"):
+    for name in FRAMEWORK_NAMES:
         for hall in (False, True):
             cfg = FrameworkConfig(
                 hallucinator=hall, hallucinator_layers=2,
                 extrapolation=ExtrapolationConfig(0.0, 1.0), queue_size=16,
             )
             fw = build_framework(name, enc_cfg, 8, cfg, seed=fw_seed)
-            if name == "moco":
-                fw.queue.push(fw.encode_keys(x2))
+            fw.prime(x2)
             lam = None
             if hall:
                 shape = fw.lambda_shape(batch)
                 lam = np.linspace(0.1, 0.9, int(np.prod(shape))).reshape(shape)
-            if name == "simsiam":
-                frozen = fw.target_features(x1, x2)
-
-                def loss_fn(fw=fw, lam=lam, frozen=frozen):
-                    return fw.forward_loss(x1, x2, lam, frozen_targets=frozen)[0]
-            else:
-                def loss_fn(fw=fw, lam=lam):
-                    return fw.forward_loss(x1, x2, lam)[0]
             key = f"{name}_hall_{'on' if hall else 'off'}"
             errors[key] = check_parameter_gradients(
-                loss_fn, fw.trainable_parameters(), step=step
+                fw.loss_closure(x1, x2, lam), fw.trainable_parameters(), step=step
             )
     return errors

@@ -49,12 +49,6 @@ class ExtrapolationConfig:
                 f"beta1 must be <= beta2, got ({self.beta1}, {self.beta2})"
             )
 
-    @classmethod
-    def preset(cls, name: str) -> "ExtrapolationConfig":
-        if name not in RANGE_PRESETS:
-            raise ValueError(f"unknown range preset {name!r}; choose from {sorted(RANGE_PRESETS)}")
-        return cls(*RANGE_PRESETS[name])
-
 
 def sample_lambda(cfg: ExtrapolationConfig, rng: np.random.Generator, size: int | None = None):
     """Uniform draw(s) from [beta1, beta2]; one fresh draw per positive pair."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from .rng import substream
 from .tensor import Parameter, Tensor, add, matmul, softmax_cross_entropy
+from .train import SGD
 
 
 def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
@@ -148,7 +149,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, seed: int,
 
     w = Parameter(np.zeros((d, classes)), "probe.w")
     b = Parameter(np.zeros(classes), "probe.b")
-    velocity = {p.name: np.zeros_like(p.data) for p in (w, b)}
+    opt = SGD([w, b], momentum=momentum, weight_decay=weight_decay)
     milestones = {int(np.floor(epochs * 0.6)), int(np.floor(epochs * 0.8))}
     current_lr = lr
     last_loss = float("nan")
@@ -160,17 +161,9 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, seed: int,
             sel = train_idx[order[lo:lo + batch_size]]
             logits = add(matmul(Tensor(x[sel]), w), b)
             loss = softmax_cross_entropy(logits, y[sel])
-            for p in (w, b):
-                p.zero_grad()
+            opt.zero_grad()
             loss.backward()
-            for p in (w, b):
-                g = p.grad
-                if weight_decay:
-                    g = g + weight_decay * p.data
-                v = velocity[p.name]
-                v *= momentum
-                v += g
-                p.data -= current_lr * v
+            opt.step(current_lr)
             last_loss = float(loss.data)
 
     logits_val = x[val_idx] @ w.data + b.data

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig, augment_batch, eval_view, to_unit_float_batch
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .checkpoint import load_checkpoint, load_named, save_checkpoint
+from .config import ExperimentConfig, config_from_dict
 from .data import DatasetRecord
-from .frameworks import MoCoFramework, build_framework, _FrameworkBase
+from .frameworks import build_framework, _FrameworkBase
 from .rng import substream
-from .tensor import NonFiniteError, Parameter
+from .tensor import NonFiniteError, Parameter, Tensor, l2_normalize, no_tape
 
 METRICS_HEADER = "step,epoch,loss,sim_qk,sim_qhat_k,lambda_mean,lr"
 
@@ -68,13 +68,7 @@ class SGD:
         return {f"opt.v.{name}": buf for name, buf in self.velocity.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, buf in self.velocity.items():
-            key = f"opt.v.{name}"
-            if key not in arrays:
-                raise KeyError(f"checkpoint is missing optimizer state {key}")
-            if arrays[key].shape != buf.shape:
-                raise ValueError(f"optimizer state {key} has wrong shape")
-            buf[...] = arrays[key]
+        load_named(self.state_arrays(), arrays, "optimizer state")
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -119,32 +113,6 @@ class TrainResult:
     metrics_path: Path | None
 
 
-def _framework_state(fw: _FrameworkBase, opt: SGD) -> dict[str, np.ndarray]:
-    arrays = dict(fw.named_tensors())
-    arrays.update(opt.state_arrays())
-    if isinstance(fw, MoCoFramework):
-        arrays["queue.entries"] = fw.queue.entries()
-    return arrays
-
-
-def _restore_framework(fw: _FrameworkBase, opt: SGD,
-                       arrays: dict[str, np.ndarray], meta: dict) -> None:
-    tensors = fw.named_tensors()
-    for name, arr in tensors.items():
-        if name not in arrays:
-            raise KeyError(f"checkpoint is missing tensor {name}")
-        if arrays[name].shape != arr.shape:
-            raise ValueError(f"checkpoint tensor {name} has wrong shape")
-        arr[...] = arrays[name]
-    opt.load_state_arrays(arrays)
-    if isinstance(fw, MoCoFramework):
-        fw.queue.load_state({
-            "entries": arrays.get("queue.entries",
-                                  np.zeros((0, fw.enc_cfg.feature_dim))),
-            "capacity": fw.queue.capacity,
-        })
-
-
 def save_training_checkpoint(path, fw: _FrameworkBase, opt: SGD,
                              cfg: ExperimentConfig, global_step: int,
                              next_epoch: int) -> None:
@@ -156,7 +124,7 @@ def save_training_checkpoint(path, fw: _FrameworkBase, opt: SGD,
         "next_epoch": next_epoch,
         "config": cfg.resolved_dict(),
     }
-    save_checkpoint(path, _framework_state(fw, opt), meta)
+    save_checkpoint(path, {**fw.state_arrays(), **opt.state_arrays()}, meta)
 
 
 def _flatten(tree: dict, prefix: str = "") -> dict:
@@ -212,20 +180,19 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
     earlier checkpoint; training continues from its epoch boundary and
     produces rows identical to the uninterrupted run.  An existing
     ``metrics.csv`` is first cut back to the rows before the checkpoint.
-    The configuration must equal the checkpoint's except ``train.epochs``.
+    The configuration must equal the checkpoint's except ``train.epochs``,
+    which may not fall below the checkpoint's next epoch; a rejected
+    resume touches no file.
 
-    MoCo's queue starts empty and is primed before step 0 with the first
-    batch's own keys, ``encode_keys(x2)``, so every positive key also sits
-    among the step-0 negatives.
+    Before step 0 the framework is primed with the first batch's second
+    views, ``fw.prime(x2)``: MoCo fills its empty queue with that batch's
+    own keys, so every positive key also sits among the step-0 negatives.
     """
     cfg.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
     tc = cfg.train
-    aug_cfg = cfg.augment.to_augment_config()
-    fw = build_framework(cfg.framework, cfg.encoder.to_encoder_config(),
-                         cfg.augment.out_size, cfg.framework_config(), seed)
+    fw = build_framework(cfg.framework, cfg.encoder, cfg.augment.out_size,
+                         cfg.framework_config(), seed)
     opt = SGD(fw.trainable_parameters(), momentum=tc.sgd_momentum,
               weight_decay=tc.weight_decay)
 
@@ -242,10 +209,17 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
         _check_resume_config(meta, cfg)
-        _restore_framework(fw, opt, arrays, meta)
         global_step = int(meta["global_step"])
         start_epoch = int(meta["next_epoch"])
+        if start_epoch > tc.epochs:
+            raise ValueError(
+                f"train.epochs {tc.epochs} is below the checkpoint's next "
+                f"epoch {start_epoch}; a resume can only continue or extend a run")
+        fw.load_state_arrays(arrays)
+        opt.load_state_arrays(arrays)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
     metrics_path = out_dir / tc.metrics_path
     mode = "a" if resume is not None and metrics_path.exists() else "w"
@@ -259,9 +233,9 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
             perm = substream(seed, "shuffle", epoch).permutation(len(records))
             for step in range(steps_per_epoch):
                 idx = perm[step * batch:(step + 1) * batch]
-                x1, x2 = build_batch(records, idx, aug_cfg, seed, epoch)
-                if isinstance(fw, MoCoFramework) and global_step == 0:
-                    fw.queue.push(fw.encode_keys(x2))
+                x1, x2 = build_batch(records, idx, cfg.augment, seed, epoch)
+                if global_step == 0:
+                    fw.prime(x2)
                 lam_rng = substream(seed, "lambda", epoch, step)
                 lambdas = fw.draw_lambdas(lam_rng, batch)
                 lr = cosine_lr(tc.lr, global_step, total_steps)
@@ -304,29 +278,14 @@ def load_pretrained(ckpt_path) -> tuple[_FrameworkBase, ExperimentConfig]:
     The architecture always matches the stored tensors because it comes
     from the same file; the optimizer state is ignored.
     """
-    from .config import config_from_dict
-
     arrays, meta = load_checkpoint(ckpt_path)
     if "config" not in meta:
         raise ValueError(f"{ckpt_path}: checkpoint has no embedded config")
     cfg = config_from_dict(meta["config"])
-    fw = build_framework(cfg.framework, cfg.encoder.to_encoder_config(),
-                         cfg.augment.out_size, cfg.framework_config(), cfg.seed)
-    for name, arr in fw.named_tensors().items():
-        if name not in arrays:
-            raise KeyError(f"checkpoint is missing tensor {name}")
-        if arrays[name].shape != arr.shape:
-            raise ValueError(f"checkpoint tensor {name} has wrong shape")
-        arr[...] = arrays[name]
-    if isinstance(fw, MoCoFramework) and "queue.entries" in arrays:
-        fw.queue.load_state({"entries": arrays["queue.entries"],
-                             "capacity": fw.queue.capacity})
+    fw = build_framework(cfg.framework, cfg.encoder, cfg.augment.out_size,
+                         cfg.framework_config(), cfg.seed)
+    fw.load_state_arrays(arrays)
     return fw, cfg
-
-
-def encoder_of(fw: _FrameworkBase):
-    """The encoder whose features downstream evaluation uses."""
-    return fw.query if isinstance(fw, MoCoFramework) else fw.encoder
 
 
 def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
@@ -337,9 +296,7 @@ def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
     Images are resized (never randomly cropped), encoded, and optionally
     L2-normalized.  Weights are read, not written.
     """
-    from .tensor import Tensor, l2_normalize, no_tape
-
-    enc = encoder_of(fw)
+    enc = fw.feature_encoder
     feats = []
     labels = np.array([r.label for r in records], dtype=np.int64)
     for lo in range(0, len(records), batch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hcl.augment
 from hcl.augment import (
     AugmentConfig,
     _draw_transforms,
@@ -30,6 +31,12 @@ BETA06_TAIL_01 = 0.3520945086920757
 
 def _rand_image(rng, h=32, w=32):
     return Image(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+
+
+@pytest.fixture
+def square_crops(monkeypatch):
+    """Pin the crop aspect ratio to 1."""
+    monkeypatch.setattr(hcl.augment, "ASPECT_RANGE", (1.0, 1.0))
 
 
 class TestCenterCrop:
@@ -109,8 +116,8 @@ class TestResizeBilinear:
 
 
 class TestCenterSuppressedCrop:
-    def test_degenerate_scale_covers_whole_image(self):
-        cfg = AugmentConfig(scale_range=(1.0, 1.0), aspect_range=(1.0, 1.0), out_size=16)
+    def test_degenerate_scale_covers_whole_image(self, square_crops):
+        cfg = AugmentConfig(scale_min=1.0, scale_max=1.0, out_size=16)
         img = _rand_image(np.random.default_rng(12))
         for seed in range(5):
             region, out = center_suppressed_crop(img, cfg, np.random.default_rng(seed))
@@ -128,12 +135,10 @@ class TestCenterSuppressedCrop:
             assert region.crop_h >= 1 and region.crop_w >= 1
             assert out.pixels.shape == (8, 8, 3)
 
-    def test_beta_centers_sit_farther_out_than_uniform(self):
+    def test_beta_centers_sit_farther_out_than_uniform(self, square_crops):
         # Monte-Carlo comparison against a uniform-placement oracle at
         # fixed crop size (scale 0.25 of a 32x32 image).
-        cfg = AugmentConfig(
-            alpha=0.6, scale_range=(0.25, 0.25), aspect_range=(1.0, 1.0), out_size=8
-        )
+        cfg = AugmentConfig(alpha=0.6, scale_min=0.25, scale_max=0.25, out_size=8)
         img = _rand_image(np.random.default_rng(15))
         mid = (32 - 1) / 2.0
         rng = np.random.default_rng(16)
@@ -154,11 +159,11 @@ class TestCenterSuppressedCrop:
 
 
 class TestAugmentPair:
-    def test_all_randomness_off_reproduces_input(self):
+    def test_all_randomness_off_reproduces_input(self, square_crops):
         cfg = AugmentConfig(
             p=1.0,
-            scale_range=(1.0, 1.0),
-            aspect_range=(1.0, 1.0),
+            scale_min=1.0,
+            scale_max=1.0,
             out_size=32,
             jitter_strength=0.0,
             grayscale_prob=0.0,
@@ -202,8 +207,12 @@ class TestAugmentPair:
     def test_config_validation_messages(self):
         with pytest.raises(ValueError, match="alpha"):
             AugmentConfig(alpha=1.0).validate()
-        with pytest.raises(ValueError, match="scale_range"):
-            AugmentConfig(scale_range=(0.0, 1.0)).validate()
+        with pytest.raises(ValueError, match="augment.scale_min"):
+            AugmentConfig(scale_min=0.0).validate()
+        with pytest.raises(ValueError, match="augment.scale_min/scale_max"):
+            AugmentConfig(scale_min=0.5, scale_max=0.4).validate()
+        with pytest.raises(ValueError, match=r"augment.out_size must be >= 4"):
+            AugmentConfig(out_size=3).validate()
         with pytest.raises(ValueError, match="flip_prob"):
             AugmentConfig(flip_prob=1.5).validate()
 
@@ -286,8 +295,9 @@ def _ref_center_suppressed_crop(img, cfg, rng):
     area = float(h * w)
     ch = cw = 0
     for _ in range(10):
-        target = area * rng.uniform(cfg.scale_range[0], cfg.scale_range[1])
-        log_lo, log_hi = np.log(cfg.aspect_range[0]), np.log(cfg.aspect_range[1])
+        target = area * rng.uniform(cfg.scale_min, cfg.scale_max)
+        aspect = hcl.augment.ASPECT_RANGE
+        log_lo, log_hi = np.log(aspect[0]), np.log(aspect[1])
         ratio = float(np.exp(rng.uniform(log_lo, log_hi)))
         tw = int(round(np.sqrt(target * ratio)))
         th = int(round(np.sqrt(target / ratio)))
@@ -438,10 +448,13 @@ class TestBatchedPipelineOracle:
         {"blur_prob": 1.0},
         {"flip_prob": 1.0},
         {"jitter_strength": 0.0},  # fh == 0: the hue step is skipped
-        {"aspect_range": (10.0, 20.0)},  # every size attempt fails: fallback crop
+        {"ASPECT_RANGE": (10.0, 20.0)},  # every size attempt fails: fallback crop
         {"grayscale_prob": 1.0, "blur_prob": 1.0, "flip_prob": 1.0, "p": 1.0},
     ])
-    def test_forced_branches(self, overrides):
+    def test_forced_branches(self, overrides, monkeypatch):
+        overrides = dict(overrides)
+        if "ASPECT_RANGE" in overrides:
+            monkeypatch.setattr(hcl.augment, "ASPECT_RANGE", overrides.pop("ASPECT_RANGE"))
         cfg = AugmentConfig(out_size=16, **overrides)
         for seed in range(6):
             rng = np.random.default_rng(seed)
@@ -476,8 +489,9 @@ class TestBatchedPipelineOracle:
             assert np.array_equal(resize_bilinear(src, out_h, out_w),
                                   _ref_resize_bilinear(src, out_h, out_w))
 
-    def test_fallback_crop_is_centered_square(self):
-        cfg = AugmentConfig(aspect_range=(10.0, 20.0), out_size=8)
+    def test_fallback_crop_is_centered_square(self, monkeypatch):
+        monkeypatch.setattr(hcl.augment, "ASPECT_RANGE", (10.0, 20.0))
+        cfg = AugmentConfig(out_size=8)
         img = _rand_image(np.random.default_rng(41), h=24, w=40)
         region, _ = center_suppressed_crop(img, cfg, np.random.default_rng(42))
         assert (region.top, region.left, region.crop_h, region.crop_w) == (0, 8, 24, 24)

@@ -88,6 +88,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"seed": True})
 
+    def test_encoder_rules(self):
+        with pytest.raises(ConfigError, match="encoder.kernel must be an odd int >= 1"):
+            config_from_dict({"encoder": {"kernel": 4}})
+        with pytest.raises(ConfigError, match="encoder.feature_dim must be >= 2"):
+            config_from_dict({"encoder": {"feature_dim": 1}})
+        with pytest.raises(ConfigError, match="encoder.channels must be a non-empty"):
+            config_from_dict({"encoder": {"channels": []}})
+
+    def test_augment_rules(self):
+        with pytest.raises(ConfigError, match="augment.out_size must be >= 4"):
+            config_from_dict({"augment": {"out_size": 3}})
+        with pytest.raises(ConfigError, match="augment.scale_min/scale_max"):
+            config_from_dict({"augment": {"scale_min": 0.6, "scale_max": 0.5}})
+        with pytest.raises(ConfigError, match="unknown key in augment: 'aspect_range'"):
+            config_from_dict({"augment": {"aspect_range": [1, 2]}})
+
     def test_inverted_betas(self):
         with pytest.raises(ConfigError, match="beta1 must be <="):
             config_from_dict({"hallucinator": {"beta1": 0.9, "beta2": 0.1}})
@@ -135,6 +151,19 @@ class TestRoundTrip:
         )
         again = config_from_dict(json.loads(cfg.resolved_json()))
         assert again.resolved_dict() == cfg.resolved_dict()
+
+    def test_encoder_channels_stay_a_list(self):
+        cfg = config_from_dict({"encoder": {"channels": [4, 8]}})
+        assert cfg.encoder.channels == [4, 8]
+        assert json.loads(cfg.resolved_json())["encoder"]["channels"] == [4, 8]
+
+    def test_resolved_section_keys(self):
+        resolved = ExperimentConfig().resolved_dict()
+        assert list(resolved["augment"]) == [
+            "p", "alpha", "out_size", "scale_min", "scale_max", "jitter_strength",
+            "grayscale_prob", "flip_prob", "blur_prob", "center_crop_both"]
+        assert list(resolved["encoder"]) == ["channels", "kernel", "hidden_dim",
+                                             "feature_dim"]
 
     def test_default_round_trip(self):
         cfg = ExperimentConfig()

@@ -10,6 +10,7 @@ from hcl.data import (
     DatasetRecord,
     Image,
     generate_synthetic,
+    hsv_to_rgb,
     load_cifar_batch,
     make_synthetic_records,
     save_cifar_batch,
@@ -21,6 +22,32 @@ def _write_record(path, label, planes):
     buf[0] = label
     buf[1:] = np.asarray(planes, dtype=np.uint8).reshape(-1)
     buf.tofile(path)
+
+
+def _scalar_hue_to_rgb(hue, sat, val):
+    """The per-triple HSV->RGB the synthetic generator once had, as oracle."""
+    h6 = (hue % 1.0) * 6.0
+    i = int(h6) % 6
+    f = h6 - int(h6)
+    p, q, t = val * (1 - sat), val * (1 - sat * f), val * (1 - sat * (1 - f))
+    table = [(val, t, p), (q, val, p), (p, val, t), (p, q, val), (t, p, val), (val, p, q)]
+    return np.array(table[i])
+
+
+class TestHsvToRgb:
+    def test_synthetic_class_hues_match_scalar_oracle(self):
+        for classes in range(1, NUM_LABELS + 1):
+            for c in range(classes):
+                for hue, sat, val in ((c / classes, 0.75, 0.8), (c / classes + 0.5, 0.9, 1.0)):
+                    assert np.array_equal(hsv_to_rgb(hue, sat, val),
+                                          _scalar_hue_to_rgb(hue, sat, val))
+
+    def test_vectorized_matches_scalar_oracle(self):
+        hsv = np.random.default_rng(3).random((2000, 3)) * [3.0, 1.0, 1.0]
+        got = hsv_to_rgb(hsv[:, 0], hsv[:, 1], hsv[:, 2])
+        assert got.shape == (2000, 3)
+        for row, (hue, sat, val) in zip(got, hsv):
+            assert np.array_equal(row, _scalar_hue_to_rgb(hue, sat, val))
 
 
 class TestImage:

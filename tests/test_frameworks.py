@@ -432,3 +432,48 @@ class TestBuildFramework:
         b = _small("simclr", seed=21)
         for pa, pb in zip(a.trainable_parameters(), b.trainable_parameters()):
             assert np.array_equal(pa.data, pb.data)
+
+
+class TestFrameworkInterface:
+    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
+    def test_prime_fills_only_the_moco_queue(self, name):
+        fw = _small(name)
+        x2 = _batch(np.random.default_rng(3))
+        before = {k: v.copy() for k, v in fw.state_arrays().items()}
+        fw.prime(x2)
+        after = fw.state_arrays()
+        if name == "moco":
+            assert np.array_equal(after.pop("queue.entries"), fw.encode_keys(x2))
+            before.pop("queue.entries")
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+
+    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
+    def test_state_round_trip(self, name):
+        src, dst = _small(name, seed=1), _small(name, seed=2)
+        src.prime(_batch(np.random.default_rng(4)))
+        dst.load_state_arrays(src.state_arrays())
+        saved, restored = src.state_arrays(), dst.state_arrays()
+        assert restored.keys() == saved.keys()
+        assert all(np.array_equal(restored[k], saved[k]) for k in saved)
+
+    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
+    def test_rejected_load_writes_nothing(self, name):
+        src, dst = _small(name, seed=1), _small(name, seed=2)
+        before = {k: v.copy() for k, v in dst.state_arrays().items()}
+        arrays = src.state_arrays()
+        last = sorted(dst.named_tensors())[-1]
+        arrays[last] = np.zeros(3)
+        with pytest.raises(ValueError, match=f"tensor {last} has wrong shape"):
+            dst.load_state_arrays(arrays)
+        del arrays[last]
+        with pytest.raises(KeyError, match=f"missing tensor {last}"):
+            dst.load_state_arrays(arrays)
+        assert all(np.array_equal(v, before[k]) for k, v in dst.state_arrays().items())
+
+    def test_moco_named_tensors_hold_both_encoders(self):
+        fw = _small("moco")
+        names = set(fw.named_tensors())
+        assert {p.name for p in fw.trainable_parameters()} < names
+        assert {p.name for p in fw.key.parameters()} == {
+            n for n in names if n.startswith("key.")}

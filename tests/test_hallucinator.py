@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hcl.config import config_from_dict
 from hcl.gradcheck import check_parameter_gradients, finite_difference_check
 from hcl.hallucinator import (
     RANGE_PRESETS,
@@ -33,10 +34,10 @@ class TestExtrapolationConfig:
     def test_presets(self):
         assert RANGE_PRESETS["wide"] == (0.0, 1.0)
         assert RANGE_PRESETS["narrow"] == (0.0, 0.1)
-        cfg = ExtrapolationConfig.preset("narrow")
-        assert (cfg.beta1, cfg.beta2) == (0.0, 0.1)
-        with pytest.raises(ValueError, match="unknown range preset"):
-            ExtrapolationConfig.preset("huge")
+        # a config's range name reaches the frameworks as these bounds
+        cfg = config_from_dict({"hallucinator": {"range": "narrow"}})
+        ext = cfg.framework_config().extrapolation
+        assert (ext.beta1, ext.beta2) == (0.0, 0.1)
 
 
 class TestSampleLambda:

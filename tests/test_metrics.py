@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import hcl.metrics
+import hcl.train
 from hcl.metrics import (
     ProbeResult,
     UniformityReport,
@@ -13,6 +15,8 @@ from hcl.metrics import (
     uniformity_positive,
     write_report,
 )
+from hcl.rng import substream
+from hcl.tensor import Parameter, Tensor, add, matmul, softmax_cross_entropy
 
 # Population value of the Gaussian potential at t=2 for points uniform
 # on the unit circle: e^{-4} I0(4), via the modified Bessel function.
@@ -204,6 +208,79 @@ class TestLinearProbe:
         b = linear_probe(x, y, seed=4, epochs=5)
         assert a.top1 == b.top1
         assert a.n_train == 80 and a.n_val == 20
+
+
+def _inline_momentum_probe(features, labels, seed, epochs=20, lr=0.3, momentum=0.9,
+                           weight_decay=0.0, batch_size=64, val_fraction=0.2):
+    """The probe as it was written before it used train.SGD: its own
+    velocity buffers and update loop.  Returns (result, w, b)."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    n, d = x.shape
+    classes = int(y.max()) + 1
+    perm = substream(seed, "probe-split").permutation(n)
+    n_val = max(1, int(round(n * val_fraction)))
+    n_train = n - n_val
+    train_idx, val_idx = perm[:n_train], perm[n_train:]
+    w = Parameter(np.zeros((d, classes)), "probe.w")
+    b = Parameter(np.zeros(classes), "probe.b")
+    velocity = {p.name: np.zeros_like(p.data) for p in (w, b)}
+    milestones = {int(np.floor(epochs * 0.6)), int(np.floor(epochs * 0.8))}
+    current_lr = lr
+    last_loss = float("nan")
+    for epoch in range(epochs):
+        if epoch in milestones:
+            current_lr *= 0.1
+        order = substream(seed, "probe-shuffle", epoch).permutation(n_train)
+        for lo in range(0, n_train, batch_size):
+            sel = train_idx[order[lo:lo + batch_size]]
+            loss = softmax_cross_entropy(add(matmul(Tensor(x[sel]), w), b), y[sel])
+            for p in (w, b):
+                p.zero_grad()
+            loss.backward()
+            for p in (w, b):
+                g = p.grad
+                if weight_decay:
+                    g = g + weight_decay * p.data
+                v = velocity[p.name]
+                v *= momentum
+                v += g
+                p.data -= current_lr * v
+            last_loss = float(loss.data)
+    pred = (x[val_idx] @ w.data + b.data).argmax(axis=1)
+    truth = y[val_idx]
+    per_class = np.zeros(classes)
+    for c in range(classes):
+        mask = truth == c
+        per_class[c] = float(np.mean(pred[mask] == c)) if mask.any() else float("nan")
+    res = ProbeResult(float(np.mean(pred == truth)), per_class, n_train, len(val_idx),
+                      current_lr, last_loss)
+    return res, w.data, b.data
+
+
+class TestProbeMatchesInlineMomentum:
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-3])
+    def test_weights_and_result_bitwise(self, monkeypatch, weight_decay):
+        optimizers = []
+
+        class RecordingSGD(hcl.train.SGD):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(hcl.metrics, "SGD", RecordingSGD)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((90, 6))
+        y = rng.integers(0, 3, 90)
+        kwargs = dict(seed=5, epochs=7, lr=0.2, momentum=0.8,
+                      weight_decay=weight_decay, batch_size=16)
+        got = linear_probe(x, y, **kwargs)
+        ref, w_ref, b_ref = _inline_momentum_probe(x, y, **kwargs)
+        w, b = (p.data for p in optimizers[0].params)
+        assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+        assert (got.top1, got.n_train, got.n_val, got.final_lr, got.train_loss) == (
+            ref.top1, ref.n_train, ref.n_val, ref.final_lr, ref.train_loss)
+        assert np.array_equal(got.per_class, ref.per_class, equal_nan=True)
 
 
 class TestWriteReport:

@@ -21,7 +21,6 @@ from hcl.train import (
     SGD,
     build_batch,
     cosine_lr,
-    encoder_of,
     extract_features,
     load_pretrained,
     metrics_row,
@@ -52,6 +51,38 @@ def _tiny_cfg(**overrides):
 
 def _tiny_records(cfg):
     return make_synthetic_records(cfg.data.classes, cfg.data.per_class, seed=cfg.seed)
+
+
+FRAMEWORKS = ["moco", "simclr", "simsiam"]
+
+
+def _damaged_checkpoint(tmp_path, framework, damage):
+    """A finished tiny run's checkpoint with ``damage(arrays)`` applied to
+    its arrays, saved beside it; returns (config, records, path)."""
+    cfg = _tiny_cfg(framework=framework, train={"epochs": 1})
+    records = _tiny_records(cfg)
+    res = pretrain(cfg, records, tmp_path / "run")
+    arrays, meta = load_checkpoint(res.checkpoint_path)
+    damage(arrays)
+    path = tmp_path / "damaged.hcl"
+    save_checkpoint(path, arrays, meta)
+    return cfg, records, path
+
+
+CORRUPTIONS = ["missing_encoder", "missing_hallucinator", "wrong_shape"]
+
+
+def _corruption(case, framework):
+    """(damage to a checkpoint's arrays, expected error, message)."""
+    enc = "query" if framework == "moco" else "enc"
+    if case == "wrong_shape":
+        name = f"{enc}.conv0.w"
+
+        def damage(arrays):
+            arrays[name] = np.zeros(arrays[name].shape + (1,))
+        return damage, ValueError, f"tensor {name} has wrong shape"
+    name = f"{enc}.fc1.w" if case == "missing_encoder" else "hall.layer1.b"
+    return (lambda arrays: arrays.pop(name)), KeyError, f"missing tensor {name}"
 
 
 class TestSGD:
@@ -132,7 +163,7 @@ class TestBuildBatch:
     def test_independent_of_position_in_batch(self):
         cfg = _tiny_cfg()
         records = _tiny_records(cfg)
-        aug = cfg.augment.to_augment_config()
+        aug = cfg.augment
         x1a, _ = build_batch(records, np.array([3, 5]), aug, cfg.seed, 0)
         x1b, _ = build_batch(records, np.array([5, 3]), aug, cfg.seed, 0)
         assert np.array_equal(x1a[0], x1b[1])
@@ -157,8 +188,8 @@ class TestPretrain:
         assert res.rows == []
         assert res.metrics_path.read_text() == METRICS_HEADER + "\n"
         arrays, meta = load_checkpoint(res.checkpoint_path)
-        fw = build_framework(cfg.framework, cfg.encoder.to_encoder_config(),
-                             cfg.augment.out_size, cfg.framework_config(), cfg.seed)
+        fw = build_framework(cfg.framework, cfg.encoder, cfg.augment.out_size,
+                             cfg.framework_config(), cfg.seed)
         for name, tensor in fw.named_tensors().items():
             assert np.array_equal(arrays[name], tensor)
         assert meta["global_step"] == 0
@@ -196,8 +227,9 @@ class TestPretrain:
         assert len(losses) == 4 and alive_at_batch == [0, 0, 0, 0]
         assert len(logged) == 2 and logged[0].startswith("epoch 0: loss ")
 
-    def test_resume_is_bitwise_continuation(self, tmp_path):
-        cfg = _tiny_cfg(train={"epochs": 4, "checkpoint_every": 2})
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    def test_resume_is_bitwise_continuation(self, tmp_path, framework):
+        cfg = _tiny_cfg(framework=framework, train={"epochs": 4, "checkpoint_every": 2})
         records = _tiny_records(cfg)
         full = pretrain(cfg, records, tmp_path / "full")
 
@@ -220,6 +252,18 @@ class TestPretrain:
             mf.write("1")  # a row cut short by a crash
         pretrain(cfg, records, tmp_path, resume=tmp_path / "checkpoint_ep1.hcl")
         assert full.metrics_path.read_bytes() == expected
+
+    def test_resume_rejects_fewer_epochs_than_checkpoint(self, tmp_path):
+        # A resume that ends before the checkpoint's next epoch would run no
+        # step yet rewrite checkpoint.hcl with next_epoch = train.epochs.
+        cfg = _tiny_cfg(framework="simclr", train={"epochs": 4})
+        records = _tiny_records(cfg)
+        res = pretrain(cfg, records, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        shorter = _tiny_cfg(framework="simclr", train={"epochs": 2})
+        with pytest.raises(ValueError, match=r"train\.epochs 2 .*next epoch 4"):
+            pretrain(shorter, records, tmp_path, resume=res.checkpoint_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_resume_rejects_framework_mismatch(self, tmp_path):
         cfg = _tiny_cfg(train={"epochs": 1})
@@ -301,18 +345,42 @@ class TestPretrain:
 
 
 class TestCheckpointRoundTrip:
-    def test_load_pretrained_restores_weights_and_queue(self, tmp_path):
-        cfg = _tiny_cfg()
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    def test_load_pretrained_restores_state(self, tmp_path, framework):
+        cfg = _tiny_cfg(framework=framework)
         records = _tiny_records(cfg)
         res = pretrain(cfg, records, tmp_path)
         fw, ck_cfg = load_pretrained(res.checkpoint_path)
-        assert ck_cfg.seed == cfg.seed
-        live = res.framework.named_tensors()
-        for name, arr in fw.named_tensors().items():
+        assert ck_cfg.resolved_dict() == cfg.resolved_dict()
+        live = res.framework.state_arrays()
+        restored = fw.state_arrays()
+        assert restored.keys() == live.keys()
+        assert ("queue.entries" in live) == (framework == "moco")
+        for name, arr in restored.items():
             assert np.array_equal(arr, live[name]), name
-        np.testing.assert_array_equal(
-            fw.queue.entries(), res.framework.queue.entries()
-        )
+
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_load_pretrained_rejects_damaged_checkpoint(self, tmp_path, framework, case):
+        damage, error, message = _corruption(case, framework)
+        _, _, path = _damaged_checkpoint(tmp_path, framework, damage)
+        with pytest.raises(error, match=message):
+            load_pretrained(path)
+
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_resume_rejects_damaged_checkpoint(self, tmp_path, framework, case):
+        damage, error, message = _corruption(case, framework)
+        cfg, records, path = _damaged_checkpoint(tmp_path, framework, damage)
+        with pytest.raises(error, match=message):
+            pretrain(cfg, records, tmp_path / "resumed", resume=path)
+        assert not (tmp_path / "resumed").exists()
+
+    def test_resume_rejects_missing_optimizer_state(self, tmp_path):
+        cfg, records, path = _damaged_checkpoint(
+            tmp_path, "simclr", lambda arrays: arrays.pop("opt.v.enc.fc2.b"))
+        with pytest.raises(KeyError, match="missing optimizer state opt.v.enc.fc2.b"):
+            pretrain(cfg, records, tmp_path / "resumed", resume=path)
 
     def test_load_pretrained_requires_embedded_config(self, tmp_path):
         path = tmp_path / "bare.hcl"
@@ -332,11 +400,13 @@ class TestFeatureExtraction:
         assert np.array_equal(y1, [r.label for r in records])
         np.testing.assert_allclose(np.linalg.norm(f1, axis=1), 1.0, atol=1e-10)
 
-    def test_encoder_of_moco_is_query_encoder(self, tmp_path):
-        cfg = _tiny_cfg(train={"epochs": 1})
-        records = _tiny_records(cfg)
-        res = pretrain(cfg, records, tmp_path)
-        assert encoder_of(res.framework) is res.framework.query
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    def test_feature_encoder(self, framework):
+        cfg = _tiny_cfg(framework=framework)
+        fw = build_framework(cfg.framework, cfg.encoder, cfg.augment.out_size,
+                             cfg.framework_config(), cfg.seed)
+        expected = fw.query if framework == "moco" else fw.encoder
+        assert fw.feature_encoder is expected
 
 
 def _on_glibc() -> bool:
