@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Define-by-run: every operation records its inputs and a backward closure
-on the output tensor, so the tape is rebuilt from scratch each step and
-freed with it.  Gradients are accumulated in deterministic tape order,
-which makes repeated runs bitwise identical.
+on the output tensor, so the tape is rebuilt from scratch each step.
+`backward()` consumes it: each node drops its closure and its parents
+once its gradient has been passed on, so a node nobody else holds is
+freed there, with its gradient and saved buffers.  Gradients are
+accumulated in deterministic tape order, which makes repeated runs
+bitwise identical.
 
 Supported operation kinds: matmul, add, scalar multiply, elementwise
 multiply, relu, exp, mean, sum, concat, L2-normalize, reshape, transpose,
@@ -24,11 +27,15 @@ outputs are never mutated after creation; the only in-place writes go to
 Parameters, which are leaves.  Each array is therefore scanned once, and
 a non-finite value is reported by the op that produced it.
 
-Memory: importing this module on glibc raises malloc's mmap and trim
-thresholds (`mallopt`) for the whole process, so the multi-MB arrays a
-step frees stay in the heap and are reused by the next step instead of
-being unmapped and faulted in again as fresh zeroed pages.  Other libcs
-are left alone.
+Memory: a training step's live set peaks at the end of forward, when
+every activation and saved im2col matrix is held; backward then frees
+them layer by layer as it walks back, so it adds little on top of that
+peak and leaves only the parameters' gradients and whatever the caller
+still holds.  Importing this module on glibc raises malloc's mmap and
+trim thresholds (`mallopt`) for the whole process, so the multi-MB
+arrays a step frees stay in the heap and are reused by the next step
+instead of being unmapped and faulted in again as fresh zeroed pages.
+Other libcs are left alone.
 """
 
 from __future__ import annotations
@@ -146,8 +153,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 has the bits of 0.0 + g, signed zeros included
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         if self.grad is None:
@@ -167,16 +176,22 @@ class Tensor:
         return out
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar loss.
+        """Reverse-mode pass from a scalar loss; consumes the tape.
 
         Accumulates d(loss)/d(leaf) into `.grad` of every tensor with
         requires_grad=True that the loss depends on.  Visits each tape
-        node exactly once, in deterministic order.
+        node exactly once, in deterministic order.  Once a node has passed
+        its gradient on, it drops its backward closure and its parents but
+        keeps `.grad`: a node only the tape held is freed then, with its
+        saved buffers, while one the caller holds keeps its gradient.
+
+        Raises ValueError, before touching any gradient, if the loss is not
+        scalar, if it was not produced by any taped operation (empty tape),
+        or if it or any node it reaches was already consumed by an earlier
+        backward, which would otherwise count that node's gradient twice.
         """
         if self.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
-        if not self._parents:
-            raise ValueError("backward: empty tape (loss was not produced by any operation)")
 
         order: list[Tensor] = []
         visited: set[int] = set()
@@ -188,16 +203,25 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            # an op output that needs a gradient but has lost its parents
+            if node.requires_grad and not node._parents and node._kind != "leaf":
+                raise ValueError("backward: tape already consumed by an earlier backward")
             visited.add(id(node))
             stack.append((node, True))
             for parent in reversed(node._parents):
                 if id(parent) not in visited:
                     stack.append((parent, False))
+        # after the walk, so that a consumed loss is reported as consumed
+        if not self._parents:
+            raise ValueError("backward: empty tape (loss was not produced by any operation)")
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node._backward = None
+                node._parents = ()
 
     # ---- operator sugar ------------------------------------------------
 
@@ -501,6 +525,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     colsT = colsT.reshape(c * kh * kw, n * ho * wo)
     wmat = w.data.reshape(f, -1)
     out = wmat @ colsT
+    # one-shot: backward frees colsT before allocating gcolsT, its twin
+    saved = [colsT]
+    del colsT
     if b is not None:
         out += b.data[:, None]
     data = out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
@@ -508,7 +535,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     def backward(g):
         # (N*Ho*Wo, F) rows keep the bias reduction in its row-by-row order
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        w._accumulate((colsT @ gmat).T.reshape(w.shape))
+        w._accumulate((saved.pop() @ gmat).T.reshape(w.shape))
         if b is not None:
             b._accumulate(gmat.sum(axis=0))
         if not x.requires_grad:

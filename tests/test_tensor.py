@@ -1,6 +1,7 @@
 """Autodiff core: op semantics, broadcasting, tape behavior, error paths."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,96 @@ class TestBackward:
         loss = mean(out)
         loss.backward()
         assert np.array_equal(x.grad, [0.0, 0.0])
+
+    def test_first_gradient_adds_to_positive_zero(self):
+        # a fresh gradient is 0.0 + g, so a -0.0 contribution lands as +0.0
+        x = Tensor([1.5], requires_grad=True)
+        sum_(scalar_multiply(x, -0.0)).backward()
+        assert x.grad[0] == 0.0 and not np.signbit(x.grad[0])
+
+    def test_second_backward_on_same_loss_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        loss = mean(multiply(x, x))
+        loss.backward()
+        with pytest.raises(ValueError, match="tape already consumed"):
+            loss.backward()
+        assert np.array_equal(x.grad, [6.0])
+
+    def test_backward_through_consumed_intermediate_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        y = multiply(x, x)
+        mean(y).backward()
+        loss = mean(add(y, y))
+        with pytest.raises(ValueError, match="tape already consumed"):
+            loss.backward()
+        assert np.array_equal(x.grad, [6.0])
+        assert np.array_equal(y.grad, [1.0])
+        with no_tape():
+            free = mean(multiply(x, x))
+        with pytest.raises(ValueError, match="empty tape"):
+            free.backward()
+
+
+def _default_encoder_step(hold_features: bool):
+    """Traced bytes of one default-encoder forward + backward at batch 16.
+
+    Returns (features or None, loss, {"forward", "peak", "after"}), each
+    figure in bytes above the live size before the forward.
+    """
+    enc = ConvEncoder(EncoderConfig(), 32, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).random((16, 3, 32, 32)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        features = enc.forward(x)
+        loss = mean(features)
+        if not hold_features:
+            features = None
+        forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return features, loss, {"forward": forward - base, "peak": peak - base, "after": after - base}
+
+
+class TestTapeRelease:
+    MB = 1e6
+
+    def test_backward_frees_the_tape_while_loss_is_held(self):
+        _, loss, mem = _default_encoder_step(hold_features=False)
+        assert mem["forward"] > 10 * self.MB  # the tape really was built
+        assert mem["after"] < 1 * self.MB
+        assert loss._parents == () and loss._backward is None
+
+    def test_backward_peak_stays_near_end_of_forward(self):
+        _, _, mem = _default_encoder_step(hold_features=False)
+        assert mem["peak"] - mem["forward"] <= 5 * self.MB
+
+    def test_held_intermediate_keeps_its_gradient(self):
+        features, _, _ = _default_encoder_step(hold_features=True)
+        assert features._parents == () and features._backward is None
+        assert np.array_equal(features.grad, np.full(features.shape, 1.0 / features.size))
+
+    def test_conv2d_frees_cols_before_col2im(self):
+        # colsT (72 rows) dwarfs x (8 channels) and the output (1 filter);
+        # if it lived through backward, it and its gradient twin would
+        # coexist and the peak would rise by about its size.
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.random((4, 8, 32, 32)), requires_grad=True)
+        w = Parameter(rng.random((1, 8, 3, 3)))
+        cols_bytes = 8 * 9 * 4 * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            loss = sum_(conv2d(x, w, padding=1))
+            forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - forward < cols_bytes / 2
 
 
 def _small_encoder(seed=0):
