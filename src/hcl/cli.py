@@ -36,7 +36,7 @@ def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config, seed_override=args.seed)
     hall = getattr(args, "hallucinator", None)
     if hall is not None:
-        cfg.hallucinator.enabled = (hall == "on")
+        cfg.framework_config().hallucinator = (hall == "on")
     return cfg
 
 

@@ -1,23 +1,40 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
-Unknown keys are rejected (typos should fail loudly, not silently train
-the wrong model).  Every validation failure names the offending key and
-its constraint.  ``resolved_dict`` emits the full effective configuration
-with all defaults and presets expanded; feeding that JSON back in
-reproduces the run bit for bit.
+Each section is declared once, by the dataclass that runs it: ``augment``
+is ``AugmentConfig``, ``encoder`` is ``EncoderConfig``, and ``contrast``
+with ``hallucinator`` is ``FrameworkConfig``, whose fields the key table
+``FRAMEWORK_KEYS`` names; coercion, unknown-key rejection and
+``resolved_dict`` all read that table.  A key takes only the JSON values
+its field's annotation allows (``_ACCEPTS``): no bool for a number, only
+finite floats.  Every failure names the dotted key.  ``resolved_dict``
+emits the full effective configuration with defaults and presets
+expanded; feeding that JSON back in reproduces the run bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .augment import AugmentConfig
 from .encoder import EncoderConfig
 from .frameworks import FRAMEWORK_NAMES, FrameworkConfig
-from .hallucinator import RANGE_PRESETS, ExtrapolationConfig
+from .hallucinator import ExtrapolationConfig
 from .rng import DEFAULT_SEED
+
+# JSON key -> FrameworkConfig field; the EXTRAPOLATION_KEYS name fields of
+# its nested ExtrapolationConfig instead.
+FRAMEWORK_KEYS = {
+    "hallucinator": {"enabled": "hallucinator", "layers": "hallucinator_layers",
+                     "range": "range", "beta1": "beta1", "beta2": "beta2",
+                     "pair_weight": "pair_weight",
+                     "after_predictor": "hallucinate_after_predictor"},
+    "contrast": {"temperature": "temperature", "momentum": "momentum",
+                 "queue_size": "queue_size"},
+}
+EXTRAPOLATION_KEYS = ("range", "beta1", "beta2")
 
 TRAIN_PRESETS = {
     "desk": {"batch_size": 64, "epochs": 5, "lr": 0.06},
@@ -40,49 +57,6 @@ class DataSection:
             raise ConfigError("data.classes must be >= 2")
         if self.per_class < 1:
             raise ConfigError("data.per_class must be >= 1")
-
-
-@dataclass
-class HallucinatorSection:
-    enabled: bool = True
-    layers: int = 3
-    range: str | None = None
-    beta1: float = 0.0
-    beta2: float = 1.0
-    pair_weight: float = 0.5
-    after_predictor: bool = False
-
-    def validate(self) -> None:
-        if self.layers < 0:
-            raise ConfigError("hallucinator.layers must be >= 0")
-        if self.range is not None and self.range not in RANGE_PRESETS:
-            raise ConfigError(
-                f"hallucinator.range must be one of {sorted(RANGE_PRESETS)}"
-            )
-        if self.beta2 < self.beta1:
-            raise ConfigError("hallucinator.beta1 must be <= hallucinator.beta2")
-        if not 0.0 <= self.pair_weight <= 1.0:
-            raise ConfigError("hallucinator.pair_weight must be in [0, 1]")
-
-    def resolved_betas(self) -> tuple[float, float]:
-        if self.range is not None:
-            return RANGE_PRESETS[self.range]
-        return (self.beta1, self.beta2)
-
-
-@dataclass
-class ContrastSection:
-    temperature: float = 0.2
-    momentum: float = 0.99
-    queue_size: int = 1024
-
-    def validate(self) -> None:
-        if not self.temperature > 0:
-            raise ConfigError("contrast.temperature must be > 0")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ConfigError("contrast.momentum must be in [0, 1]")
-        if self.queue_size < 1:
-            raise ConfigError("contrast.queue_size must be >= 1")
 
 
 @dataclass
@@ -153,8 +127,6 @@ _SECTIONS = {
     "data": DataSection,
     "augment": AugmentConfig,
     "encoder": EncoderConfig,
-    "hallucinator": HallucinatorSection,
-    "contrast": ContrastSection,
     "train": TrainSection,
     "probe": ProbeSection,
     "metrics": MetricsSection,
@@ -168,8 +140,7 @@ class ExperimentConfig:
     data: DataSection = field(default_factory=DataSection)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    hallucinator: HallucinatorSection = field(default_factory=HallucinatorSection)
-    contrast: ContrastSection = field(default_factory=ContrastSection)
+    knobs: FrameworkConfig = field(default_factory=FrameworkConfig)
     train: TrainSection = field(default_factory=TrainSection)
     probe: ProbeSection = field(default_factory=ProbeSection)
     metrics: MetricsSection = field(default_factory=MetricsSection)
@@ -184,50 +155,85 @@ class ExperimentConfig:
         try:
             for name in _SECTIONS:
                 getattr(self, name).validate()
+            self.knobs.validate()
         except ValueError as exc:
-            # the augment and encoder sections are the runtime configs,
-            # which raise plain ValueError
+            # the augment, encoder and framework sections are the runtime
+            # configs, which raise plain ValueError
             raise ConfigError(str(exc)) from None
 
     def framework_config(self) -> FrameworkConfig:
-        b1, b2 = self.hallucinator.resolved_betas()
-        return FrameworkConfig(
-            temperature=self.contrast.temperature,
-            momentum=self.contrast.momentum,
-            queue_size=self.contrast.queue_size,
-            hallucinator=self.hallucinator.enabled,
-            hallucinator_layers=self.hallucinator.layers,
-            extrapolation=ExtrapolationConfig(b1, b2),
-            pair_weight=self.hallucinator.pair_weight,
-            hallucinate_after_predictor=self.hallucinator.after_predictor,
-        )
+        """The ``contrast`` and ``hallucinator`` sections, as frameworks take them.
+
+        This is the config's own ``knobs`` object, not a copy: a framework
+        built from it shares it with the config echo and the resume check.
+        """
+        return self.knobs
 
     def resolved_dict(self) -> dict:
         """Full effective configuration with presets expanded."""
         out: dict = {"seed": self.seed, "framework": self.framework}
         for name in _SECTIONS:
             section = getattr(self, name)
-            entry = {f.name: getattr(section, f.name) for f in fields(section)}
-            out[name] = entry
-        b1, b2 = self.hallucinator.resolved_betas()
-        out["hallucinator"]["beta1"] = b1
-        out["hallucinator"]["beta2"] = b2
+            out[name] = {f.name: getattr(section, f.name) for f in fields(section)}
+        for name, keys in FRAMEWORK_KEYS.items():
+            out[name] = {key: getattr(self.knobs.extrapolation if f in EXTRAPOLATION_KEYS
+                                      else self.knobs, f) for key, f in keys.items()}
         return out
 
     def resolved_json(self) -> str:
         return json.dumps(self.resolved_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _coerce_section(cls, name: str, raw: dict):
+# The JSON values each field annotation accepts, as a message names them;
+# keyed by the annotation's text, since every hcl module postpones the
+# evaluation of annotations.  A bool is never an int or a float here, and a
+# float must be finite.
+_ACCEPTS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def _check_section(name: str, raw, kinds: dict[str, str]) -> None:
+    """Reject a non-object, unknown keys, and values of the wrong type."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ConfigError(
             f"unknown key{'s' if len(unknown) > 1 else ''} in {name}: "
             + ", ".join(repr(k) for k in unknown)
         )
+    for key, value in raw.items():
+        if kinds[key] == "list[int]":  # encoder.channels, checked by _coerce_section
+            continue
+        if kinds[key] not in _ACCEPTS:
+            raise TypeError(f"no JSON type rule for {name}.{key}: {kinds[key]!r}")
+        types, noun = _ACCEPTS[kinds[key]]
+        if (not isinstance(value, types) or isinstance(value, bool) and bool not in types
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(f"{name}.{key} must be {noun}, got {value!r}")
+
+
+def _coerce_framework(raw: dict) -> FrameworkConfig:
+    kinds = {f.name: f.type for f in fields(FrameworkConfig) + fields(ExtrapolationConfig)}
+    kwargs: dict = {}
+    for name, keys in FRAMEWORK_KEYS.items():
+        section = raw.get(name, {})
+        _check_section(name, section, {key: kinds[f] for key, f in keys.items()})
+        kwargs |= {f: section[key] for key, f in keys.items() if key in section}
+    bounds = {k: kwargs.pop(k) for k in EXTRAPOLATION_KEYS if k in kwargs}
+    try:
+        return FrameworkConfig(extrapolation=ExtrapolationConfig(**bounds), **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _coerce_section(cls, name: str, raw: dict):
+    _check_section(name, raw, {f.name: f.type for f in fields(cls)})
     kwargs = dict(raw)
     if cls is TrainSection and kwargs.get("preset") is not None:
         preset = kwargs["preset"]
@@ -238,32 +244,26 @@ def _coerce_section(cls, name: str, raw: dict):
         kwargs = {"preset": preset, **merged}
     if cls is EncoderConfig and "channels" in kwargs:
         ch = kwargs["channels"]
-        if not isinstance(ch, list) or not all(isinstance(c, int) for c in ch):
+        if not isinstance(ch, list) or not all(type(c) is int for c in ch):
             raise ConfigError("encoder.channels must be a list of ints")
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    return cls(**kwargs)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
-    known = set(_SECTIONS) | {"seed", "framework"}
+    known = set(_SECTIONS) | set(FRAMEWORK_KEYS) | {"seed", "framework"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(
             f"unknown top-level key{'s' if len(unknown) > 1 else ''}: "
             + ", ".join(repr(k) for k in unknown)
         )
-    kwargs: dict = {}
-    if "seed" in raw:
-        kwargs["seed"] = raw["seed"]
-    if "framework" in raw:
-        kwargs["framework"] = raw["framework"]
+    kwargs: dict = {key: raw[key] for key in ("seed", "framework") if key in raw}
     for name, cls in _SECTIONS.items():
         if name in raw:
             kwargs[name] = _coerce_section(cls, name, raw[name])
+    kwargs["knobs"] = _coerce_framework(raw)
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg

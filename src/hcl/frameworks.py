@@ -33,7 +33,9 @@ extrapolation branch and exposes the same interface:
 Keeping ``forward_loss`` pure lets the finite-difference gradient checker
 call it repeatedly without touching queues or momentum copies.  A new
 recipe is one subclass (its encoders, ``trainable_parameters`` and
-``forward_loss``) plus its entry in ``FRAMEWORKS``.
+``forward_loss``) plus its entry in ``FRAMEWORKS``; a contrastive one
+supplies its normalized features and its loss head to ``_contrast``,
+which adds the hallucinated positive.  SimSiam keeps its own branch.
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ def negative_cosine(p: Tensor, target: Tensor) -> Tensor:
 
 @dataclass
 class FrameworkConfig:
-    """Knobs shared by all frameworks; irrelevant fields are ignored."""
+    """The config's ``contrast`` and ``hallucinator`` sections, whose keys
+    ``hcl.config`` maps to these fields; irrelevant fields are ignored."""
 
     temperature: float = 0.2
     momentum: float = 0.99
@@ -230,15 +233,15 @@ class FrameworkConfig:
 
     def validate(self) -> None:
         if not self.temperature > 0:
-            raise ValueError("temperature must be > 0")
+            raise ValueError("contrast.temperature must be > 0")
         if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must be in [0, 1]")
+            raise ValueError("contrast.momentum must be in [0, 1]")
         if self.queue_size < 1:
-            raise ValueError("queue_size must be >= 1")
+            raise ValueError("contrast.queue_size must be >= 1")
         if self.hallucinator_layers < 0:
-            raise ValueError("hallucinator_layers must be >= 0")
+            raise ValueError("hallucinator.layers must be >= 0")
         if not 0.0 <= self.pair_weight <= 1.0:
-            raise ValueError("pair_weight must be in [0, 1]")
+            raise ValueError("hallucinator.pair_weight must be in [0, 1]")
         self.extrapolation.validate()
 
 
@@ -322,6 +325,20 @@ class _FrameworkBase:
         w = self.cfg.pair_weight
         return add(scalar_multiply(plain, 1.0 - w), scalar_multiply(extra, w))
 
+    def _contrast(self, q: Tensor, k: Tensor, lambdas, head):
+        """(loss, diagnostics): ``head(q)``, mixed with ``head(q_hat)`` when
+        the hallucinator is on; q_hat is the normalized hallucination of q
+        pushed away from its positive k, and only ever replaces q."""
+        plain = head(q)
+        sim_qk = _row_cosine(q.data, k.data)
+        diag = {"sim_qk": sim_qk, "sim_qhat_k": sim_qk, "lambda_mean": 0.0}
+        if not self.cfg.hallucinator:
+            return plain, diag
+        q_hat = l2_normalize(hallucinate(q, extrapolate(q, k, lambdas), self.hall))
+        diag["sim_qhat_k"] = _row_cosine(q_hat.data, k.data)
+        diag["lambda_mean"] = float(np.mean(lambdas))
+        return self._mix(plain, head(q_hat)), diag
+
 
 class MoCoFramework(_FrameworkBase):
     """Momentum key encoder plus a FIFO queue of past key features.
@@ -390,22 +407,9 @@ class MoCoFramework(_FrameworkBase):
                 "queue is empty; prime it with key features before the first step"
             )
         tau = self.cfg.temperature
-        plain = infonce_loss(q, k, negatives, tau)
-        diag = {
-            "sim_qk": _row_cosine(q.data, k.data),
-            "sim_qhat_k": _row_cosine(q.data, k.data),
-            "lambda_mean": 0.0,
-        }
-        loss = plain
-        if self.cfg.hallucinator:
-            q_prime = extrapolate(q, k, lambdas)
-            q_hat = l2_normalize(hallucinate(q, q_prime, self.hall))
-            extra = infonce_loss(q_hat, k, negatives, tau)
-            loss = self._mix(plain, extra)
-            diag["sim_qhat_k"] = _row_cosine(q_hat.data, k.data)
-            diag["lambda_mean"] = float(np.mean(lambdas))
-        aux = {"keys": k.data.copy()}
-        return loss, diag, aux
+        loss, diag = self._contrast(q, k, lambdas,
+                                    lambda a: infonce_loss(a, k, negatives, tau))
+        return loss, diag, {"keys": k.data.copy()}
 
     def after_update(self, aux: dict) -> None:
         m = self.cfg.momentum
@@ -440,23 +444,10 @@ class SimCLRFramework(_FrameworkBase):
         z2 = l2_normalize(self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64))))
         bank = concat([z1, z2], axis=0)
         tau = self.cfg.temperature
-        plain = ntxent_loss(z1, z2, bank, tau)
-        diag = {
-            "sim_qk": _row_cosine(z1.data, z2.data),
-            "sim_qhat_k": _row_cosine(z1.data, z2.data),
-            "lambda_mean": 0.0,
-        }
-        loss = plain
-        if self.cfg.hallucinator:
-            # z2 stays live here: gradients flow through both views.  The
-            # synthesized anchor only ever plays the anchor/positive role;
-            # the negative bank holds the two real views alone.
-            q_prime = extrapolate(z1, z2, lambdas)
-            q_hat = l2_normalize(hallucinate(z1, q_prime, self.hall))
-            extra = ntxent_loss(q_hat, z2, bank, tau)
-            loss = self._mix(plain, extra)
-            diag["sim_qhat_k"] = _row_cosine(q_hat.data, z2.data)
-            diag["lambda_mean"] = float(np.mean(lambdas))
+        # z2 stays live, also in the extrapolation; the negative bank holds
+        # the two real views alone.
+        loss, diag = self._contrast(z1, z2, lambdas,
+                                    lambda a: ntxent_loss(a, z2, bank, tau))
         return loss, diag, {}
 
 

@@ -33,20 +33,26 @@ RANGE_PRESETS: dict[str, tuple[float, float]] = {
 
 @dataclass
 class ExtrapolationConfig:
-    """Bounds of the uniform distribution the extrapolation weight is drawn from."""
+    """Bounds of the uniform distribution the extrapolation weight is drawn
+    from; a named ``range`` replaces them once they have been validated."""
 
     beta1: float = 0.0
     beta2: float = 1.0
+    range: str | None = None
 
     def __post_init__(self):
         self.validate()
+        if self.range is not None:
+            self.beta1, self.beta2 = RANGE_PRESETS[self.range]
 
     def validate(self) -> None:
+        if self.range is not None and self.range not in RANGE_PRESETS:
+            raise ValueError(f"hallucinator.range must be one of {sorted(RANGE_PRESETS)}")
         if not (np.isfinite(self.beta1) and np.isfinite(self.beta2)):
-            raise ValueError("beta1 and beta2 must be finite")
+            raise ValueError("hallucinator.beta1 and beta2 must be finite")
         if self.beta2 < self.beta1:
             raise ValueError(
-                f"beta1 must be <= beta2, got ({self.beta1}, {self.beta2})"
+                f"hallucinator.beta1 must be <= beta2, got ({self.beta1}, {self.beta2})"
             )
 
 

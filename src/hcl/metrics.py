@@ -29,15 +29,6 @@ def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
     return x / norms
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine of paired rows; raises on zero vectors rather than dividing."""
-    an = _normalize_rows(a, "a")
-    bn = _normalize_rows(b, "b")
-    if an.shape != bn.shape:
-        raise ValueError(f"paired inputs differ in shape: {an.shape} vs {bn.shape}")
-    return np.sum(an * bn, axis=1)
-
-
 @dataclass(frozen=True)
 class UniformityReport:
     value: float

@@ -223,49 +223,11 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
 
-    # ---- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scalar_multiply(other, -1.0))
-        return add(self, Tensor(np.asarray(other) * -1.0))
-
-    def __neg__(self):
-        return scalar_multiply(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return multiply(self, other)
-        return scalar_multiply(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def mean(self):
-        return mean(self)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self):
-        return transpose(self)
-
-    def l2_normalize(self, axis: int = -1):
-        return l2_normalize(self, axis=axis)
 
 
 class Parameter(Tensor):

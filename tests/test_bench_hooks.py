@@ -1,8 +1,10 @@
-"""The benchmark's probes in `perfbench/tracer.py` still find their targets.
+"""The benchmark still finds what it calls in `hcl`.
 
 A renamed or deleted function that the tracer hooks makes a traced
-benchmark run drop the per-layer metrics that depend on it; this catches
-that in the unit suite.  `perfbench/` is read, never edited.
+benchmark run drop the per-layer metrics that depend on it, and a removed
+entry point or a config format change that the benchmark's own configs
+trip on makes its worker fail; both are caught here in the unit suite.
+`perfbench/` is read, never edited.
 """
 
 from pathlib import Path
@@ -25,3 +27,16 @@ def test_every_benchmark_hook_has_a_target(monkeypatch):
     finally:
         probe.uninstall()
     assert hcl.train.build_batch is original
+
+
+def test_benchmark_setup_path_runs(monkeypatch, tmp_path):
+    """The worker's `prep` and `setup` roles, in-process, on `desk`: its
+    configs load, and a framework builds through `framework_config()` and
+    `to_encoder_config()`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+
+    worker.prep("desk", 1, tmp_path)
+    ctx = worker.setup("desk", tmp_path)
+    assert len(ctx["cfgs"]) == 6
+    assert len(ctx["records"]) == 200

@@ -1,9 +1,15 @@
 """End-to-end command-line behavior: exit codes, outputs, reproducibility."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hcl.cli
 from hcl.cli import main
 
 TINY = {
@@ -188,3 +194,45 @@ class TestErrors:
                    "--out", str(tmp_path / "d.bin")])
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_non_finite_value_rejected_before_the_echo(self, tmp_path, capsys):
+        data = _gen(tmp_path, _cfg_file(tmp_path))
+        capsys.readouterr()
+        cfg = _cfg_file(tmp_path, {"hallucinator": {"beta2": float("nan")}}, name="nan.json")
+        out = tmp_path / "run"
+        rc = main(["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert "hallucinator.beta2 must be a finite number" in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
+
+
+# Above OpenBLAS's single-thread cutoff, so that GEMMs really split across
+# two threads.
+THREADED = {
+    "seed": 5,
+    "data": {"classes": 4, "per_class": 16},
+    "encoder": {"channels": [8, 16], "hidden_dim": 64, "feature_dim": 32},
+    "augment": {"out_size": 16},
+    "contrast": {"queue_size": 64},
+    "train": {"batch_size": 32, "epochs": 1, "lr": 0.03},
+}
+
+
+@pytest.mark.parametrize("framework", ["moco", "simclr"])
+def test_same_bytes_whatever_the_blas_thread_count(tmp_path, framework):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**THREADED, "framework": framework}), encoding="utf-8")
+    data = _gen(tmp_path, cfg)
+    src = str(Path(hcl.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "hcl.cli", "pretrain", "--config", str(cfg),
+                        "--data", str(data), "--out", str(out), "--hallucinator", "on"],
+                       env=env, capture_output=True, check=True)
+        digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("metrics.csv", "checkpoint.hcl")])
+    assert digests[0] == digests[1]

@@ -9,9 +9,12 @@ from hcl.config import (
     DEFAULT_SEED,
     ConfigError,
     ExperimentConfig,
+    _check_section,
     config_from_dict,
     load_config,
 )
+from hcl.frameworks import FrameworkConfig
+from hcl.hallucinator import ExtrapolationConfig
 
 
 def _write(tmp_path, obj, name="c.json"):
@@ -27,12 +30,13 @@ class TestDefaults:
         assert cfg.framework == "moco"
         assert cfg.augment.p == 0.5
         assert cfg.augment.alpha == 0.6
-        assert cfg.hallucinator.enabled is True
-        assert cfg.hallucinator.layers == 3
-        assert cfg.hallucinator.resolved_betas() == (0.0, 1.0)
-        assert cfg.contrast.temperature == 0.2
-        assert cfg.contrast.momentum == 0.99
-        assert cfg.contrast.queue_size == 1024
+        fc = cfg.framework_config()
+        assert fc.hallucinator is True
+        assert fc.hallucinator_layers == 3
+        assert (fc.extrapolation.beta1, fc.extrapolation.beta2) == (0.0, 1.0)
+        assert fc.temperature == 0.2
+        assert fc.momentum == 0.99
+        assert fc.queue_size == 1024
         assert cfg.train.batch_size == 64
         assert cfg.train.epochs == 5
         assert cfg.encoder.channels == [16, 32, 64]
@@ -48,6 +52,175 @@ class TestDefaults:
         assert fc.queue_size == 7
         assert fc.hallucinator_layers == 2
         assert (fc.extrapolation.beta1, fc.extrapolation.beta2) == (0.1, 0.4)
+
+
+# Every ``contrast`` and ``hallucinator`` key, with a range preset that
+# overrides conflicting integer betas.
+EVERY_FRAMEWORK_KEY = {
+    "contrast": {"temperature": 0.3, "momentum": 0.9, "queue_size": 96},
+    "hallucinator": {"enabled": False, "layers": 2, "range": "narrow", "beta1": 0,
+                     "beta2": 1, "pair_weight": 0.25, "after_predictor": True},
+}
+
+# ``resolved_json()`` text pinned byte for byte: a run's
+# ``resolved_config.json`` and a checkpoint's embedded config are this echo.
+DEFAULT_ECHO = """\
+{
+  "augment": {
+    "alpha": 0.6,
+    "blur_prob": 0.5,
+    "center_crop_both": false,
+    "flip_prob": 0.5,
+    "grayscale_prob": 0.2,
+    "jitter_strength": 0.4,
+    "out_size": 32,
+    "p": 0.5,
+    "scale_max": 1.0,
+    "scale_min": 0.2
+  },
+  "contrast": {
+    "momentum": 0.99,
+    "queue_size": 1024,
+    "temperature": 0.2
+  },
+  "data": {
+    "classes": 10,
+    "path": "data/synthetic.bin",
+    "per_class": 100
+  },
+  "encoder": {
+    "channels": [
+      16,
+      32,
+      64
+    ],
+    "feature_dim": 64,
+    "hidden_dim": 128,
+    "kernel": 3
+  },
+  "framework": "moco",
+  "hallucinator": {
+    "after_predictor": false,
+    "beta1": 0.0,
+    "beta2": 1.0,
+    "enabled": true,
+    "layers": 3,
+    "pair_weight": 0.5,
+    "range": null
+  },
+  "metrics": {
+    "pairs": "all",
+    "t": 2.0
+  },
+  "probe": {
+    "batch_size": 64,
+    "epochs": 20,
+    "lr": 0.3,
+    "sgd_momentum": 0.9,
+    "val_fraction": 0.2,
+    "weight_decay": 0.0
+  },
+  "seed": 42,
+  "train": {
+    "batch_size": 64,
+    "checkpoint_every": 0,
+    "epochs": 5,
+    "lr": 0.06,
+    "metrics_path": "metrics.csv",
+    "preset": null,
+    "sgd_momentum": 0.9,
+    "weight_decay": 0.0005
+  }
+}
+"""
+
+EVERY_FRAMEWORK_KEY_ECHO = """\
+{
+  "augment": {
+    "alpha": 0.6,
+    "blur_prob": 0.5,
+    "center_crop_both": false,
+    "flip_prob": 0.5,
+    "grayscale_prob": 0.2,
+    "jitter_strength": 0.4,
+    "out_size": 32,
+    "p": 0.5,
+    "scale_max": 1.0,
+    "scale_min": 0.2
+  },
+  "contrast": {
+    "momentum": 0.9,
+    "queue_size": 96,
+    "temperature": 0.3
+  },
+  "data": {
+    "classes": 10,
+    "path": "data/synthetic.bin",
+    "per_class": 100
+  },
+  "encoder": {
+    "channels": [
+      16,
+      32,
+      64
+    ],
+    "feature_dim": 64,
+    "hidden_dim": 128,
+    "kernel": 3
+  },
+  "framework": "moco",
+  "hallucinator": {
+    "after_predictor": true,
+    "beta1": 0.0,
+    "beta2": 0.1,
+    "enabled": false,
+    "layers": 2,
+    "pair_weight": 0.25,
+    "range": "narrow"
+  },
+  "metrics": {
+    "pairs": "all",
+    "t": 2.0
+  },
+  "probe": {
+    "batch_size": 64,
+    "epochs": 20,
+    "lr": 0.3,
+    "sgd_momentum": 0.9,
+    "val_fraction": 0.2,
+    "weight_decay": 0.0
+  },
+  "seed": 42,
+  "train": {
+    "batch_size": 64,
+    "checkpoint_every": 0,
+    "epochs": 5,
+    "lr": 0.06,
+    "metrics_path": "metrics.csv",
+    "preset": null,
+    "sgd_momentum": 0.9,
+    "weight_decay": 0.0005
+  }
+}
+"""
+
+
+class TestEcho:
+    def test_default_echo_text(self):
+        assert ExperimentConfig().resolved_json() == DEFAULT_ECHO
+        assert config_from_dict({}).resolved_json() == DEFAULT_ECHO
+
+    def test_every_framework_key_echo_text(self):
+        assert config_from_dict(EVERY_FRAMEWORK_KEY).resolved_json() == EVERY_FRAMEWORK_KEY_ECHO
+
+    def test_integer_betas_echo_as_given(self):
+        text = config_from_dict({"hallucinator": {"beta1": 0, "beta2": 1}}).resolved_json()
+        assert '"beta1": 0,\n' in text
+        assert '"beta2": 1,\n' in text
+
+    def test_echo_reparses_to_the_same_text(self):
+        text = config_from_dict(EVERY_FRAMEWORK_KEY).resolved_json()
+        assert config_from_dict(json.loads(text)).resolved_json() == text
 
 
 class TestValidation:
@@ -108,6 +281,89 @@ class TestValidation:
         with pytest.raises(ConfigError, match="beta1 must be <="):
             config_from_dict({"hallucinator": {"beta1": 0.9, "beta2": 0.1}})
 
+    def test_inverted_betas_rejected_under_a_range(self):
+        with pytest.raises(ConfigError, match="beta1 must be <="):
+            config_from_dict({"hallucinator": {"range": "wide", "beta1": 0.9, "beta2": 0.1}})
+
+    @pytest.mark.parametrize("bad, message", [
+        (FrameworkConfig(temperature=0.0), "contrast.temperature must be > 0"),
+        (FrameworkConfig(momentum=1.5), r"contrast.momentum must be in \[0, 1\]"),
+        (FrameworkConfig(queue_size=0), "contrast.queue_size must be >= 1"),
+        (FrameworkConfig(hallucinator_layers=-1), "hallucinator.layers must be >= 0"),
+        (FrameworkConfig(pair_weight=1.5), r"hallucinator.pair_weight must be in \[0, 1\]"),
+    ])
+    def test_framework_messages_name_the_json_key(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(knobs=bad).validate()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta1": 0.5, "beta2": 0.1}, "hallucinator.beta1 must be <= beta2"),
+        ({"beta1": 0.0, "beta2": np.inf}, "hallucinator.beta1 and beta2 must be finite"),
+        ({"range": "huge"}, "hallucinator.range must be one of"),
+    ])
+    def test_extrapolation_messages_name_the_json_key(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExtrapolationConfig(**kwargs)
+
+
+class TestValueTypes:
+    """Each key takes only what its field's annotation allows: an int key
+    an integer, a float key a finite number, neither a bool."""
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        # trained with a queue of capacity 7 while the echo said 7.5
+        ("contrast", "queue_size", 7.5, "contrast.queue_size must be an integer"),
+        # an uncaught TypeError when the hallucinator was built
+        ("hallucinator", "layers", 1.5, "hallucinator.layers must be an integer"),
+        # the echo was written holding NaN before the run failed
+        ("hallucinator", "beta2", float("nan"), "hallucinator.beta2 must be a finite number"),
+        # step 0 trained, step 1 failed with non-finite conv2d input
+        ("train", "weight_decay", float("nan"), "train.weight_decay must be a finite number"),
+        ("train", "lr", float("inf"), "train.lr must be a finite number"),
+        ("train", "epochs", True, "train.epochs must be an integer"),
+        ("contrast", "temperature", True, "contrast.temperature must be a finite number"),
+        ("augment", "out_size", 16.0, "augment.out_size must be an integer"),
+        ("encoder", "feature_dim", "64", "encoder.feature_dim must be an integer"),
+        ("metrics", "t", "2", "metrics.t must be a finite number"),
+        ("data", "classes", False, "data.classes must be an integer"),
+        # the hallucinator ran while the echo said "no"
+        ("hallucinator", "enabled", "no", "hallucinator.enabled must be true or false"),
+        ("augment", "center_crop_both", 1, "augment.center_crop_both must be true or false"),
+        ("encoder", "channels", [8, True], "encoder.channels must be a list of ints"),
+        # an uncaught TypeError: unhashable type: 'list'
+        ("hallucinator", "range", ["wide"], "hallucinator.range must be a string or null"),
+        ("train", "preset", 1, "train.preset must be a string or null"),
+        ("data", "path", 5, "data.path must be a string"),
+    ])
+    def test_rejected_at_load(self, section, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({section: {key: value}})
+
+    def test_nan_in_a_json_file(self, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('{"hallucinator": {"beta2": NaN}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="hallucinator.beta2 must be a finite number"):
+            load_config(p)
+
+    def test_integers_stay_valid_for_float_keys(self):
+        cfg = config_from_dict({"train": {"lr": 1, "weight_decay": 0},
+                                "contrast": {"temperature": 1}})
+        echo = json.loads(cfg.resolved_json())
+        assert echo["train"]["lr"] == 1 and isinstance(echo["train"]["lr"], int)
+        assert cfg.framework_config().temperature == 1
+
+    def test_every_declared_key_has_a_type_rule(self):
+        # loading the full echo type-checks every key of every section
+        resolved = ExperimentConfig().resolved_dict()
+        assert config_from_dict(resolved).resolved_dict() == resolved
+
+    @pytest.mark.parametrize("annotation", ["float | None", "tuple[float, float]", float])
+    def test_an_annotation_without_a_rule_fails_loudly(self, annotation):
+        with pytest.raises(TypeError, match="no JSON type rule for s.k"):
+            _check_section("s", {"k": 1.0}, {"k": annotation})
+
 
 class TestPresets:
     def test_train_desk_preset(self):
@@ -131,7 +387,8 @@ class TestPresets:
         cfg = config_from_dict(
             {"hallucinator": {"range": "narrow", "beta1": 0.3, "beta2": 0.9}}
         )
-        assert cfg.hallucinator.resolved_betas() == (0.0, 0.1)
+        ext = cfg.framework_config().extrapolation
+        assert (ext.range, ext.beta1, ext.beta2) == ("narrow", 0.0, 0.1)
 
     def test_unknown_range_preset(self):
         with pytest.raises(ConfigError, match="hallucinator.range"):

@@ -20,9 +20,9 @@ from hcl.frameworks import (
     ntxent_loss,
 )
 from hcl.gradcheck import TOLERANCE, check_parameter_gradients
-from hcl.hallucinator import ExtrapolationConfig
+from hcl.hallucinator import ExtrapolationConfig, extrapolate, hallucinate
 from hcl.rng import substream
-from hcl.tensor import ShapeMismatchError, Tensor, l2_normalize
+from hcl.tensor import ShapeMismatchError, Tensor, concat, l2_normalize
 from hcl.train import SGD
 
 # -log(e / (e + 2)) for a unit positive against two orthogonal
@@ -296,6 +296,40 @@ class TestExactReductions:
     def test_reduction_is_bitwise(self, name):
         a, b = self._loss_pair(name)
         assert a == b, f"{name}: {a!r} != {b!r}"
+
+
+class TestHallucinatedPositive:
+    """MoCo's and SimCLR's shared hallucinated-positive path, rebuilt from
+    its parts: the loss mixes the plain head with the head applied to the
+    normalized hallucination of q pushed away from k."""
+
+    @pytest.mark.parametrize("name", ["moco", "simclr"])
+    def test_loss_and_diagnostics_from_parts(self, name):
+        rng = np.random.default_rng(70)
+        x1, x2 = _batch(rng), _batch(rng)
+        fw = _small(name, seed=5, hallucinator_layers=2, pair_weight=0.3)
+        lams = rng.uniform(0.0, 1.0, 4)
+        q = l2_normalize(fw.feature_encoder.forward(Tensor(x1)))
+        tau = fw.cfg.temperature
+        if name == "moco":
+            fw.prime(x2)
+            k = Tensor(fw.encode_keys(x2))
+            negatives = fw.queue.entries()
+            head = lambda a: float(infonce_loss(a, k, negatives, tau).data)
+        else:
+            k = l2_normalize(fw.encoder.forward(Tensor(x2)))
+            bank = concat([q, k], axis=0)
+            head = lambda a: float(ntxent_loss(a, k, bank, tau).data)
+        q_hat = l2_normalize(hallucinate(q, extrapolate(q, k, lams), fw.hall))
+        loss, diag, _ = fw.forward_loss(x1, x2, lams)
+        assert float(loss.data) == head(q) * (1.0 - 0.3) + head(q_hat) * 0.3
+
+        def cos(a, b):
+            return float(np.mean(np.sum(a.data * b.data, axis=1)))
+
+        assert diag == {"sim_qk": cos(q, k), "sim_qhat_k": cos(q_hat, k),
+                        "lambda_mean": float(np.mean(lams))}
+        assert diag["sim_qhat_k"] != diag["sim_qk"]
 
 
 class TestSimCLR:

@@ -8,7 +8,6 @@ import hcl.train
 from hcl.metrics import (
     ProbeResult,
     UniformityReport,
-    cosine_similarity,
     linear_probe,
     project_2d,
     uniformity,
@@ -39,35 +38,11 @@ def _brute_force_g(features, t):
     return float(np.mean(vals))
 
 
-class TestCosineSimilarity:
-    def test_self_similarity_one(self):
-        v = np.array([[0.3, -2.0, 5.0]])
-        assert abs(cosine_similarity(v, v)[0] - 1.0) < 1e-12
-
-    def test_orthogonal_zero(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        assert cosine_similarity(a, b)[0] == 0.0
-
-    def test_antipodal_minus_one(self):
-        a = np.array([[1.0, 0.0]])
-        assert abs(cosine_similarity(a, -a)[0] + 1.0) < 1e-12
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 6))
-        b = rng.standard_normal((4, 6))
-        base = cosine_similarity(a, b)
-        np.testing.assert_allclose(
-            cosine_similarity(3.7 * a, 0.002 * b), base, atol=1e-12
-        )
-
+class TestUniformity:
     def test_zero_vector_error(self):
         with pytest.raises(ValueError, match="zero vector"):
-            cosine_similarity(np.zeros((1, 3)), np.ones((1, 3)))
+            uniformity(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
 
-
-class TestUniformity:
     def test_identical_points_give_one(self):
         feats = np.tile([0.6, 0.8], (5, 1))
         rep = uniformity(feats, t=2.0)
