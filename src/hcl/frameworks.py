@@ -21,7 +21,7 @@ extrapolation branch and exposes the same interface:
   state_arrays() / load_state_arrays(arrays)
       Every persistent array by unique name (``named_tensors()`` plus the
       momentum framework's ``queue.entries``), and the one restore path
-      that checks each tensor is present with its shape before copying.
+      that checks every array, the queue too, before writing any.
 
   feature_encoder
       The encoder whose features downstream evaluation uses.
@@ -36,6 +36,10 @@ recipe is one subclass (its encoders, ``trainable_parameters`` and
 ``forward_loss``) plus its entry in ``FRAMEWORKS``; a contrastive one
 supplies its normalized features and its loss head to ``_contrast``,
 which adds the hallucinated positive.  SimSiam keeps its own branch.
+
+MoCo's negatives sit in a ``FeatureQueue``: one read-only array of past
+keys, oldest first, replaced on each push and shape-checked by ``load``.
+``embed`` is the one no-tape path to unit-norm features.
 """
 
 from __future__ import annotations
@@ -81,11 +85,12 @@ class QueueEmptyError(RuntimeError):
 
 
 class FeatureQueue:
-    """Fixed-capacity FIFO ring of detached feature rows.
+    """Fixed-capacity FIFO of detached feature rows.
 
-    Rows are stored oldest-first from the reader's point of view: pushing
-    into a full queue drops the oldest rows.  ``entries()`` always returns
-    rows in insertion order regardless of where the ring pointer sits.
+    The rows are one read-only ``(n, dim)`` array, oldest row first, with
+    ``n <= capacity``.  A push builds a new array and keeps its newest
+    ``capacity`` rows; nothing is written in place, so an array that
+    ``entries()`` returned never changes under its holder.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -95,59 +100,38 @@ class FeatureQueue:
             raise ValueError("queue dim must be >= 1")
         self.capacity = int(capacity)
         self.dim = int(dim)
-        self._buf = np.zeros((self.capacity, self.dim), dtype=np.float64)
-        self._ptr = 0
-        self._count = 0
+        self.load(np.zeros((0, self.dim)))
 
     def __len__(self) -> int:
-        return self._count
+        return self._rows.shape[0]
 
-    @property
-    def full(self) -> bool:
-        return self._count == self.capacity
+    def load(self, rows: np.ndarray) -> None:
+        """Replace the contents with a copy of ``rows``, oldest first,
+        after checking it is 2-D with ``dim`` columns and at most
+        ``capacity`` rows."""
+        rows = np.array(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.dim or rows.shape[0] > self.capacity:
+            raise ShapeMismatchError(f"queue of capacity {self.capacity}",
+                                     (-1, self.dim), rows.shape)
+        rows.flags.writeable = False
+        self._rows = rows
 
     def push(self, rows: np.ndarray) -> None:
+        """Append ``(k, dim)`` rows; past capacity the oldest rows drop out."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise ShapeMismatchError("queue push", (-1, self.dim), rows.shape)
-        if rows.shape[0] > self.capacity:
-            # only the newest `capacity` rows can survive
-            rows = rows[-self.capacity:]
-        n = rows.shape[0]
-        first = min(n, self.capacity - self._ptr)
-        self._buf[self._ptr:self._ptr + first] = rows[:first]
-        rest = n - first
-        if rest:
-            self._buf[:rest] = rows[first:]
-        self._ptr = (self._ptr + n) % self.capacity
-        self._count = min(self._count + n, self.capacity)
+        self.load(np.concatenate([self._rows, rows])[-self.capacity:])
 
     def entries(self) -> np.ndarray:
-        """Stored rows, oldest first.  Returns a copy."""
-        if self._count < self.capacity:
-            return self._buf[:self._count].copy()
-        return np.concatenate([self._buf[self._ptr:], self._buf[:self._ptr]], axis=0)
+        """Stored rows, oldest first, as the queue's own read-only array."""
+        return self._rows
 
-    def state(self) -> dict:
-        return {"entries": self.entries(), "capacity": self.capacity}
 
-    def load_state(self, state: dict) -> None:
-        entries = np.asarray(state["entries"], dtype=np.float64)
-        if int(state["capacity"]) != self.capacity:
-            raise ValueError(
-                f"queue capacity mismatch: checkpoint {state['capacity']}, "
-                f"config {self.capacity}"
-            )
-        if entries.shape[0] > self.capacity or (
-            entries.size and entries.shape[1] != self.dim
-        ):
-            raise ShapeMismatchError("queue state", (-1, self.dim), entries.shape)
-        self._buf[:] = 0.0
-        n = entries.shape[0]
-        if n:
-            self._buf[:n] = entries
-        self._count = n
-        self._ptr = n % self.capacity
+def embed(encoder: ConvEncoder, x) -> np.ndarray:
+    """Unit-norm features of the images ``x``, computed without a tape."""
+    with no_tape():
+        return l2_normalize(encoder.forward(Tensor(x))).data
 
 
 def infonce_loss(q: Tensor, k: Tensor, negatives: np.ndarray, tau: float) -> Tensor:
@@ -379,11 +363,13 @@ class MoCoFramework(_FrameworkBase):
         return {**self.named_tensors(), "queue.entries": self.queue.entries()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Weights as in the base class; the queue too when it was saved."""
+        """The queue and the weights, each checked before either is written."""
+        if "queue.entries" not in arrays:
+            raise KeyError("checkpoint is missing queue.entries")
+        queue = FeatureQueue(self.queue.capacity, self.queue.dim)
+        queue.load(arrays["queue.entries"])
         super().load_state_arrays(arrays)
-        if "queue.entries" in arrays:
-            self.queue.load_state({"entries": arrays["queue.entries"],
-                                   "capacity": self.queue.capacity})
+        self.queue = queue
 
     def encode_keys(self, x: np.ndarray) -> np.ndarray:
         """Normalized key features of ``x``, computed without a tape.
@@ -392,24 +378,17 @@ class MoCoFramework(_FrameworkBase):
         empty queue with that batch's own keys, so at step 0 every
         positive key also sits among the negatives.
         """
-        with no_tape():
-            k = l2_normalize(self.key.forward(Tensor(np.asarray(x, dtype=np.float64))))
-        return k.data.copy()
+        return embed(self.key, x)
 
     def forward_loss(self, x1, x2, lambdas):
         q = l2_normalize(self.query.forward(Tensor(np.asarray(x1, dtype=np.float64))))
         # The key encoder is never trained by gradients: no tape to build.
-        with no_tape():
-            k = l2_normalize(self.key.forward(Tensor(np.asarray(x2, dtype=np.float64))))
+        k = Tensor(embed(self.key, x2))
         negatives = self.queue.entries()
-        if negatives.shape[0] == 0:
-            raise QueueEmptyError(
-                "queue is empty; prime it with key features before the first step"
-            )
         tau = self.cfg.temperature
         loss, diag = self._contrast(q, k, lambdas,
                                     lambda a: infonce_loss(a, k, negatives, tau))
-        return loss, diag, {"keys": k.data.copy()}
+        return loss, diag, {"keys": k.data}
 
     def after_update(self, aux: dict) -> None:
         m = self.cfg.momentum

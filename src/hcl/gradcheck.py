@@ -6,7 +6,8 @@ the analytic gradients from the tape.  The relative-error measure is
     |analytic - numeric| / max(1, |analytic|, |numeric|)
 
 maximized over coordinates.  Anything above 1e-4 in double precision
-indicates a backward-pass bug rather than truncation error.
+indicates a backward-pass bug rather than truncation error; a NaN or Inf
+anywhere in either gradient reads as an infinite error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ TOLERANCE = 1e-4
 
 
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst coordinate's relative error; ``inf`` when either gradient holds
+    a NaN or Inf, so that a non-finite gradient fails a ``< TOLERANCE`` gate."""
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        return np.inf
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     err = np.abs(analytic - numeric) / denom
     return float(err.max()) if err.size else 0.0
@@ -30,34 +35,12 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = DEFAULT_STEP) -> float:
     """Max relative error between f's analytic and numeric gradient at x.
 
-    f must be scalar-valued and evaluable at perturbed copies of x.
+    f must be scalar-valued; it is evaluated at a copy of x perturbed in place.
     Raises NonFiniteError if f blows up anywhere in the probed
     neighborhood.
     """
-    if step <= 0:
-        raise ValueError("finite_difference_check: step must be positive")
-
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    if out.size != 1:
-        raise ValueError(f"finite_difference_check: f must be scalar-valued, got shape {out.shape}")
-    if out.requires_grad and getattr(out, "_parents", ()):
-        out.backward()
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-
-    numeric = np.zeros_like(x.data)
-    flat = numeric.reshape(-1)
-    base = x.data.copy().reshape(-1)
-    for i in range(base.size):
-        for sign in (+1.0, -1.0):
-            shifted = base.copy()
-            shifted[i] += sign * step
-            val = float(f(Tensor(shifted.reshape(x.shape))).data)
-            if not np.isfinite(val):
-                raise NonFiniteError("finite_difference_check", "probed neighborhood")
-            flat[i] += sign * val
-        flat[i] /= 2.0 * step
-    return _rel_error(analytic, numeric)
+    probe = Parameter(x.data.copy(), "x")
+    return check_parameter_gradients(lambda: f(probe), [probe], step)
 
 
 def check_parameter_gradients(
@@ -67,16 +50,20 @@ def check_parameter_gradients(
 ) -> float:
     """Max relative FD error over every coordinate of every parameter.
 
-    loss_fn must be a pure function of the current parameter values
-    (it is re-evaluated with in-place perturbations).  Analytic gradients
-    come from a single backward pass.
+    loss_fn must be a pure, scalar-valued function of the current
+    parameter values (it is re-evaluated with in-place perturbations).
+    Analytic gradients come from one backward pass, skipped when the loss
+    is not on a tape: a constant has zero gradient.
     """
+    if step <= 0:
+        raise ValueError("check_parameter_gradients: step must be positive")
     for p in params:
         p.zero_grad()
     loss = loss_fn()
     if loss.size != 1:
-        raise ValueError("check_parameter_gradients: loss must be scalar")
-    loss.backward()
+        raise ValueError(f"check_parameter_gradients: loss must be scalar, got shape {loss.shape}")
+    if loss.requires_grad and loss._parents:
+        loss.backward()
 
     worst = 0.0
     for p in params:

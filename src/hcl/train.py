@@ -20,9 +20,9 @@ from .augment import AugmentConfig, augment_batch, eval_view, to_unit_float_batc
 from .checkpoint import load_checkpoint, load_named, save_checkpoint
 from .config import ExperimentConfig, config_from_dict
 from .data import DatasetRecord
-from .frameworks import build_framework, _FrameworkBase
+from .frameworks import build_framework, embed, _FrameworkBase
 from .rng import substream
-from .tensor import NonFiniteError, Parameter, Tensor, l2_normalize, no_tape
+from .tensor import NonFiniteError, Parameter
 
 METRICS_HEADER = "step,epoch,loss,sim_qk,sim_qhat_k,lambda_mean,lr"
 
@@ -289,11 +289,10 @@ def load_pretrained(ckpt_path) -> tuple[_FrameworkBase, ExperimentConfig]:
 
 
 def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
-                     out_size: int, batch: int = 64,
-                     normalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                     out_size: int, batch: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic features and labels for probing and diagnostics.
 
-    Images are resized (never randomly cropped), encoded, and optionally
+    Images are resized (never randomly cropped), encoded, and
     L2-normalized.  Weights are read, not written.
     """
     enc = fw.feature_encoder
@@ -301,10 +300,5 @@ def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
     labels = np.array([r.label for r in records], dtype=np.int64)
     for lo in range(0, len(records), batch):
         chunk = records[lo:lo + batch]
-        x = np.stack([eval_view(r.image, out_size) for r in chunk])
-        with no_tape():
-            z = enc.forward(Tensor(x))
-            if normalize:
-                z = l2_normalize(z)
-        feats.append(z.data.copy())
+        feats.append(embed(enc, np.stack([eval_view(r.image, out_size) for r in chunk])))
     return np.concatenate(feats, axis=0), labels

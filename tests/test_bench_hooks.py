@@ -40,3 +40,17 @@ def test_benchmark_setup_path_runs(monkeypatch, tmp_path):
     ctx = worker.setup("desk", tmp_path)
     assert len(ctx["cfgs"]) == 6
     assert len(ctx["records"]) == 200
+
+
+def test_benchmark_eval_unit_runs(monkeypatch, tmp_path):
+    """The worker's `eval` workload, in-process: a moco checkpoint restores
+    through `load_pretrained`, and two passes of probe and metrics over
+    `extract_features` and `_encode_view_pairs` give the same digests."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+
+    worker.prep("eval", 1, tmp_path)
+    ctx = worker.setup("eval", tmp_path)
+    first, second = worker.eval_unit(ctx), worker.eval_unit(ctx)
+    assert first["errors"] == [] and second["errors"] == []
+    assert first["digests"] == second["digests"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcl.encoder import ConvEncoder, EncoderConfig, MLP
 from hcl.frameworks import (
@@ -138,7 +140,7 @@ class TestFeatureQueue:
             pushed.extend(rows.tolist())
             expect = np.array(pushed[-4:] if len(pushed) >= 4 else pushed)
             np.testing.assert_array_equal(q.entries(), expect)
-        assert len(q) == 4 and q.full
+        assert len(q) == q.capacity == 4
 
     def test_oversized_push_keeps_newest(self):
         q = FeatureQueue(capacity=3, dim=1)
@@ -150,21 +152,53 @@ class TestFeatureQueue:
         with pytest.raises(ShapeMismatchError):
             q.push(np.zeros((2, 3)))
 
-    def test_state_round_trip_preserves_order(self):
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 3), (4,), (1, 2, 2)])
+    def test_load_checks_shape_and_keeps_old_rows(self, shape):
         q = FeatureQueue(capacity=4, dim=2)
-        for i in range(5):
-            q.push(np.full((2, 2), float(i)))
-        st = q.state()
-        q2 = FeatureQueue(capacity=4, dim=2)
-        q2.load_state(st)
-        np.testing.assert_array_equal(q2.entries(), q.entries())
-        q2.push(np.array([[9.0, 9.0]]))
-        assert q2.entries()[-1].tolist() == [9.0, 9.0]
+        q.push(np.ones((3, 2)))
+        before = q.entries()
+        with pytest.raises(ShapeMismatchError, match="queue of capacity 4"):
+            q.load(np.zeros(shape))
+        assert q.entries() is before
 
-    def test_capacity_mismatch_rejected(self):
-        q = FeatureQueue(capacity=4, dim=2)
-        with pytest.raises(ValueError, match="capacity"):
-            q.load_state({"entries": np.zeros((1, 2)), "capacity": 8})
+    def test_state_round_trip_preserves_order(self):
+        src, dst = _small("moco", seed=1), _small("moco", seed=2)
+        for i in range(10):  # 30 rows through 16 slots
+            src.queue.push(np.full((3, 8), float(i)))
+        dst.load_state_arrays(src.state_arrays())
+        np.testing.assert_array_equal(dst.queue.entries()[:, 0],
+                                      [4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 9])
+        np.testing.assert_array_equal(dst.queue.entries(), src.queue.entries())
+        dst.queue.push(np.full((1, 8), 9.5))
+        assert dst.queue.entries()[-1].tolist() == [9.5] * 8
+        assert dst.queue.entries()[0].tolist() == [5.0] * 8
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(capacity=st.integers(1, 8), dim=st.integers(1, 4),
+       sizes=st.lists(st.integers(0, 12), max_size=8))
+def test_queue_holds_the_last_capacity_rows(capacity, dim, sizes):
+    """Whatever the push sizes, pushes larger than the queue included:
+    ``entries()`` is the newest ``capacity`` rows pushed, oldest first,
+    it is read-only and never changes after it is returned, and loading
+    it into a fresh queue round-trips."""
+    q = FeatureQueue(capacity, dim)
+    pushed = np.zeros((0, dim))
+    held = []
+    for k in sizes:
+        rows = len(pushed) + np.arange(k * dim, dtype=np.float64).reshape(k, dim) / dim
+        q.push(rows)
+        pushed = np.concatenate([pushed, rows])
+        entries = q.entries()
+        np.testing.assert_array_equal(entries, pushed[-capacity:])
+        assert len(q) == len(entries) and not entries.flags.writeable
+        with pytest.raises(ValueError):
+            entries[...] = 0.0
+        restored = FeatureQueue(capacity, dim)
+        restored.load(entries)
+        np.testing.assert_array_equal(restored.entries(), entries)
+        held.append((entries, entries.copy()))
+    assert all(np.array_equal(a, b) for a, b in held)
 
 
 class TestEncode:
@@ -504,6 +538,22 @@ class TestFrameworkInterface:
         with pytest.raises(KeyError, match=f"missing tensor {last}"):
             dst.load_state_arrays(arrays)
         assert all(np.array_equal(v, before[k]) for k, v in dst.state_arrays().items())
+
+    @pytest.mark.parametrize("shape", [(17, 8), (4, 7)])
+    def test_bad_queue_entries_write_nothing(self, shape):
+        src, dst = _small("moco", seed=1), _small("moco", seed=2)
+        dst.prime(_batch(np.random.default_rng(5)))
+        before = {k: v.copy() for k, v in dst.state_arrays().items()}
+        arrays = src.state_arrays()
+        arrays["queue.entries"] = np.zeros(shape)
+        with pytest.raises(ShapeMismatchError, match="queue of capacity 16"):
+            dst.load_state_arrays(arrays)
+        del arrays["queue.entries"]
+        with pytest.raises(KeyError, match="checkpoint is missing queue.entries"):
+            dst.load_state_arrays(arrays)
+        after = dst.state_arrays()
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[k], before[k]) for k in before)
 
     def test_moco_named_tensors_hold_both_encoders(self):
         fw = _small("moco")

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import hcl.cli
+import hcl.tensor
+
 from hcl.gradcheck import (
     DEFAULT_STEP,
     TOLERANCE,
@@ -80,6 +83,24 @@ class TestParameterGradients:
         err = check_parameter_gradients(loss, [w, b])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_analytic_gradient_fails_the_gate(self, bad):
+        # mean's forward with a backward that writes NaN or Inf
+        w = Parameter(np.array([0.5, -1.5]), name="w")
+
+        def loss():
+            return hcl.tensor._make(np.mean(w.data), (w,),
+                                    lambda g: w._accumulate(np.full(2, bad)), "bad")
+
+        err = check_parameter_gradients(loss, [w])
+        assert not err < TOLERANCE
+        assert err == np.inf
+
+    def test_rejects_nonpositive_step(self):
+        w = Parameter(np.ones(2), name="w")
+        with pytest.raises(ValueError, match="step"):
+            check_parameter_gradients(lambda: mean(w), [w], step=-1e-4)
+
 
 class TestBackwardLinearity:
     def test_grad_of_linear_combination(self):
@@ -120,3 +141,23 @@ class TestOpSuite:
         a = op_gradcheck_suite(seed=0)
         b = op_gradcheck_suite(seed=0)
         assert a == b
+
+
+class TestGradcheckCommand:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2 * TOLERANCE])
+    def test_any_entry_not_under_tolerance_fails(self, monkeypatch, capsys, bad):
+        monkeypatch.setattr(hcl.cli, "op_gradcheck_suite",
+                            lambda seed: {"add": 1e-9, "broken": bad})
+        monkeypatch.setattr(hcl.cli, "framework_gradcheck_suite",
+                            lambda: {"moco_hall_on": 1e-9})
+        assert hcl.cli.main(["gradcheck"]) == 1
+        out, err = capsys.readouterr()
+        assert "gradcheck passed" not in out
+        assert "gradcheck FAILED: broken" in err
+
+    def test_all_under_tolerance_passes(self, monkeypatch, capsys):
+        monkeypatch.setattr(hcl.cli, "op_gradcheck_suite", lambda seed: {"add": 1e-9})
+        monkeypatch.setattr(hcl.cli, "framework_gradcheck_suite",
+                            lambda: {"moco_hall_on": 1e-9})
+        assert hcl.cli.main(["gradcheck"]) == 0
+        assert "gradcheck passed" in capsys.readouterr().out

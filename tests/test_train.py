@@ -15,7 +15,8 @@ from hcl.checkpoint import load_checkpoint, save_checkpoint
 from hcl.config import config_from_dict
 from hcl.data import make_synthetic_records
 from hcl.frameworks import build_framework
-from hcl.tensor import NonFiniteError, Parameter, Tensor, mean, multiply
+from hcl.tensor import (NonFiniteError, Parameter, ShapeMismatchError, Tensor,
+                        mean, multiply)
 from hcl.train import (
     METRICS_HEADER,
     SGD,
@@ -69,12 +70,24 @@ def _damaged_checkpoint(tmp_path, framework, damage):
     return cfg, records, path
 
 
-CORRUPTIONS = ["missing_encoder", "missing_hallucinator", "wrong_shape"]
+# (damage, framework); the queue cases only exist for moco
+CORRUPTIONS = [(case, framework)
+               for case in ("missing_encoder", "missing_hallucinator", "wrong_shape")
+               for framework in FRAMEWORKS]
+CORRUPTIONS += [("missing_queue", "moco"), ("queue_wrong_shape", "moco")]
 
 
 def _corruption(case, framework):
     """(damage to a checkpoint's arrays, expected error, message)."""
     enc = "query" if framework == "moco" else "enc"
+    if case == "missing_queue":
+        return (lambda arrays: arrays.pop("queue.entries"),
+                KeyError, "checkpoint is missing queue.entries")
+    if case == "queue_wrong_shape":
+
+        def damage(arrays):
+            arrays["queue.entries"] = arrays["queue.entries"][:, :-1]
+        return damage, ShapeMismatchError, "queue of capacity 16"
     if case == "wrong_shape":
         name = f"{enc}.conv0.w"
 
@@ -359,16 +372,14 @@ class TestCheckpointRoundTrip:
         for name, arr in restored.items():
             assert np.array_equal(arr, live[name]), name
 
-    @pytest.mark.parametrize("framework", FRAMEWORKS)
-    @pytest.mark.parametrize("case", CORRUPTIONS)
+    @pytest.mark.parametrize("case,framework", CORRUPTIONS)
     def test_load_pretrained_rejects_damaged_checkpoint(self, tmp_path, framework, case):
         damage, error, message = _corruption(case, framework)
         _, _, path = _damaged_checkpoint(tmp_path, framework, damage)
         with pytest.raises(error, match=message):
             load_pretrained(path)
 
-    @pytest.mark.parametrize("framework", FRAMEWORKS)
-    @pytest.mark.parametrize("case", CORRUPTIONS)
+    @pytest.mark.parametrize("case,framework", CORRUPTIONS)
     def test_resume_rejects_damaged_checkpoint(self, tmp_path, framework, case):
         damage, error, message = _corruption(case, framework)
         cfg, records, path = _damaged_checkpoint(tmp_path, framework, damage)
