@@ -10,6 +10,7 @@ config file over the built-in default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .metrics import (linear_probe, project_2d, uniformity,
                       uniformity_positive, write_report)
 from .rng import substream
 from .tensor import NonFiniteError
-from .train import extract_features, load_pretrained, pretrain
+from .train import EVAL_BATCH, extract_features, load_pretrained, pretrain
 
 
 def _write_echo(out_dir: Path, cfg: ExperimentConfig) -> None:
@@ -95,14 +96,16 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _encode_view_pairs(fw, records, cfg: ExperimentConfig, batch: int = 64):
-    """Features of two augmented views per record, for positive-pair stats."""
+def _encode_view_pairs(fw, records, cfg: ExperimentConfig):
+    """Features of two augmented views per record, for positive-pair stats;
+    views take ``cfg.augment`` at the checkpoint's ``out_size``."""
     enc = fw.feature_encoder
+    aug = dataclasses.replace(cfg.augment, out_size=enc.in_size)
     fa, fb = [], []
-    for lo in range(0, len(records), batch):
-        chunk = records[lo:lo + batch]
+    for lo in range(0, len(records), EVAL_BATCH):
+        chunk = records[lo:lo + EVAL_BATCH]
         rngs = [substream(cfg.seed, "metrics-views", lo + i) for i in range(len(chunk))]
-        va, vb = augment_batch([r.image for r in chunk], cfg.augment, rngs)
+        va, vb = augment_batch([r.image for r in chunk], aug, rngs)
         fa.append(embed(enc, to_unit_float_batch(va)))
         fb.append(embed(enc, to_unit_float_batch(vb)))
     return np.concatenate(fa), np.concatenate(fb)

@@ -1,9 +1,9 @@
 """Small convolutional encoder: conv/ReLU/avg-pool stack plus MLP projector.
 
 Stands in for the usual large backbone at desk scale.  Every conv is
-3x3 stride 1 with same-padding, followed by 2x2 average pooling, so an
-input side must be divisible by 2**len(channels).  The projector is a
-two-layer MLP onto the feature width d.
+3x3 with same-padding, which keeps the side, followed by 2x2 average
+pooling, so an input side must be divisible by 2**len(channels).  The
+projector is a two-layer MLP onto the feature width d.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class ConvEncoder:
             )
         self.cfg = cfg
         self.in_size = in_size
-        self.prefix = prefix
         k = cfg.kernel
         self.convs: list[tuple[Parameter, Parameter]] = []
         c_in = 3
@@ -90,7 +89,7 @@ class ConvEncoder:
         pad = self.cfg.kernel // 2
         h = x
         for w, b in self.convs:
-            h = avg_pool2d(relu(conv2d(h, w, b, stride=1, padding=pad)), 2)
+            h = avg_pool2d(relu(conv2d(h, w, b, padding=pad)))
         h = h.reshape((h.shape[0], self.flat_dim))
         h = relu(add(matmul(h, self.fc1_w), self.fc1_b))
         return add(matmul(h, self.fc2_w), self.fc2_b)
@@ -109,17 +108,16 @@ class ConvEncoder:
 class MLP:
     """Two-layer ReLU MLP, used for the prediction head.
 
-    A nonzero ``bias_init`` keeps the output away from the exact zero
+    Biases start at 0.1, which keeps the output away from the exact zero
     vector when every hidden unit is inactive for some row; downstream
     cosine losses reject zero vectors rather than dividing by zero.
     """
 
-    def __init__(self, d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator,
-                 prefix: str, bias_init: float = 0.0):
+    def __init__(self, d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator, prefix: str):
         self.w1 = Parameter(_xavier_uniform(rng, (d_in, d_hidden), d_in, d_hidden), f"{prefix}.fc1.w")
-        self.b1 = Parameter(np.full(d_hidden, float(bias_init)), f"{prefix}.fc1.b")
+        self.b1 = Parameter(np.full(d_hidden, 0.1), f"{prefix}.fc1.b")
         self.w2 = Parameter(_xavier_uniform(rng, (d_hidden, d_out), d_hidden, d_out), f"{prefix}.fc2.w")
-        self.b2 = Parameter(np.full(d_out, float(bias_init)), f"{prefix}.fc2.b")
+        self.b2 = Parameter(np.full(d_out, 0.1), f"{prefix}.fc2.b")
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]

@@ -193,8 +193,8 @@ def negative_cosine(p: Tensor, target: Tensor) -> Tensor:
     """Mean negative cosine similarity between paired rows.
 
     Both inputs are L2-normalized internally, so the value only depends on
-    directions.  The caller detaches ``target`` when a stop-gradient is
-    intended; this helper does not detach anything itself.
+    directions.  For a stop-gradient the caller passes ``target`` as a
+    leaf on its values, ``Tensor(z.data)``; this helper adds none itself.
     """
     pn = l2_normalize(p, axis=-1)
     tn = l2_normalize(target, axis=-1)
@@ -241,10 +241,7 @@ class _FrameworkBase:
                  cfg: FrameworkConfig, seed: int):
         enc_cfg.validate()
         cfg.validate()
-        self.enc_cfg = enc_cfg
         self.cfg = cfg
-        self.seed = int(seed)
-        self.in_size = int(in_size)
         d = enc_cfg.feature_dim
         self.hall: HallucinatorParams | None = None
         if cfg.hallucinator:
@@ -442,8 +439,7 @@ class SimSiamFramework(_FrameworkBase):
                                    prefix="enc")
         d = enc_cfg.feature_dim
         hidden = max(1, d // PREDICTOR_HIDDEN_DIVISOR)
-        self.predictor = MLP(d, hidden, d, substream(seed, "predictor"),
-                             prefix="pred", bias_init=0.1)
+        self.predictor = MLP(d, hidden, d, substream(seed, "predictor"), prefix="pred")
 
     def lambda_shape(self, batch_size: int) -> tuple[int, ...]:
         # one draw per row per symmetrized direction
@@ -490,7 +486,7 @@ class SimSiamFramework(_FrameworkBase):
         z1 = self.encoder.forward(Tensor(np.asarray(x1, dtype=np.float64)))
         z2 = self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64)))
         if frozen_targets is None:
-            t1, t2 = z2.detach(), z1.detach()
+            t1, t2 = Tensor(z2.data), Tensor(z1.data)
         else:
             t1, t2 = Tensor(frozen_targets[0]), Tensor(frozen_targets[1])
         if self.cfg.hallucinator:

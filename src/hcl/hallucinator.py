@@ -56,10 +56,9 @@ class ExtrapolationConfig:
             )
 
 
-def sample_lambda(cfg: ExtrapolationConfig, rng: np.random.Generator, size: int | None = None):
-    """Uniform draw(s) from [beta1, beta2]; one fresh draw per positive pair."""
-    if size is None:
-        return float(rng.uniform(cfg.beta1, cfg.beta2))
+def sample_lambda(cfg: ExtrapolationConfig, rng: np.random.Generator,
+                  size: tuple[int, ...]) -> np.ndarray:
+    """Uniform draws from [beta1, beta2]; one fresh draw per positive pair."""
     return rng.uniform(cfg.beta1, cfg.beta2, size)
 
 
@@ -68,7 +67,7 @@ def extrapolate(q: Tensor, k: Tensor, lam) -> Tensor:
 
     `lam` may be a scalar or a per-row array matching a (B, d) batch.
     Gradient flows into q, and into k exactly if k is live (the caller
-    decides whether k is detached; no detach is inserted here).
+    decides whether k is a constant leaf; no stop-gradient is added here).
     """
     if q.shape != k.shape:
         raise ShapeMismatchError("extrapolate", q.shape, k.shape)
@@ -135,25 +134,19 @@ def init_hallucinator(d: int, n: int, rng: np.random.Generator) -> HallucinatorP
 
 
 def hallucinate(q: Tensor, q_prime: Tensor, params: HallucinatorParams) -> Tensor:
-    """Map (q, q') to the hallucinated feature; width d in, width d out.
+    """Map (q, q') rows to hallucinated rows; (B, d) in, (B, d) out.
 
     n = 0 returns q' unchanged (pure extrapolation); n >= 1 applies the
     linear/ReLU stack to concat(q, q').  Output is unnormalized; the
     framework normalizes before any loss.
     """
-    d = params.feature_dim
-    if q.shape != q_prime.shape or q.shape[-1] != d:
+    if q.shape != q_prime.shape or q.data.ndim != 2 or q.shape[1] != params.feature_dim:
         raise ShapeMismatchError("hallucinate", q.shape, q_prime.shape)
     if params.n == 0:
         return q_prime
     h = concat([q, q_prime], axis=-1)
-    if h.data.ndim == 1:
-        h = h.reshape(1, 2 * d)
-        squeeze = True
-    else:
-        squeeze = False
     for i, (w, b) in enumerate(params.layers):
         h = add(matmul(h, w), b)
         if i < params.n - 1:
             h = relu(h)
-    return h.reshape(d) if squeeze else h
+    return h

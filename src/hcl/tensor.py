@@ -21,11 +21,11 @@ freed as soon as the next op has read them rather than when the pass
 returns.  `backward()` on such an output raises the empty-tape error.
 
 Finiteness invariant: `_make` rejects any op output holding NaN or Inf,
-and ops check only their leaf and detached inputs on entry (`_kind`
-"leaf" or "detach"), with or without a tape.  This suffices because op
-outputs are never mutated after creation; the only in-place writes go to
-Parameters, which are leaves.  Each array is therefore scanned once, and
-a non-finite value is reported by the op that produced it.
+and ops check only their leaf inputs on entry (`_kind` "leaf"), with or
+without a tape.  This suffices because op outputs are never mutated after
+creation; the only in-place writes go to Parameters, which are leaves.
+Each array is therefore scanned once, and a non-finite value is reported
+by the op that produced it.
 
 Memory: a training step's live set peaks at the end of forward, when
 every activation and saved im2col matrix is held; backward then frees
@@ -164,17 +164,6 @@ class Tensor:
         else:
             self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        """Leaf tensor sharing this tensor's values; blocks gradient flow."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        out._kind = "detach"
-        return out
-
     def backward(self) -> None:
         """Reverse-mode pass from a scalar loss; consumes the tape.
 
@@ -267,7 +256,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, kind: str) ->
 
 def _check_inputs(kind: str, *tensors: Tensor) -> None:
     for t in tensors:
-        if t._kind in ("leaf", "detach"):
+        if t._kind == "leaf":
             _check_finite(t.data, kind, "input")
 
 
@@ -450,10 +439,11 @@ def transpose(a: Tensor) -> Tensor:
 # ---- convolution stack ---------------------------------------------------
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -> Tensor:
     """Direct 2-D convolution (cross-correlation), NCHW layout.
 
-    x: (N, C, H, W); w: (F, C, kh, kw); b: (F,) or None.
+    x: (N, C, H, W); w: (F, C, kh, kw); b: (F,) or None.  Windows are one
+    pixel apart, so the output is (N, F, H+2p-kh+1, W+2p-kw+1).
     Implemented as one GEMM over a channel-major im2col matrix `colsT` of
     shape (C*kh*kw, N*Ho*Wo), filled by kh*kw block copies from a padded
     (C, N, H+2p, W+2p) buffer, so the product is already (F, N, Ho, Wo).
@@ -472,9 +462,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
             raise ShapeMismatchError("conv2d bias", b.shape, (w.shape[0],))
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    s, p = int(stride), int(padding)
-    ho = (h + 2 * p - kh) // s + 1
-    wo = (wd + 2 * p - kw) // s + 1
+    p = int(padding)
+    ho = h + 2 * p - kh + 1
+    wo = wd + 2 * p - kw + 1
     if ho < 1 or wo < 1:
         raise ShapeMismatchError("conv2d", x.shape, w.shape)
 
@@ -483,7 +473,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     colsT = np.empty((c, kh, kw, n, ho, wo))
     for i in range(kh):
         for j in range(kw):
-            colsT[:, i, j] = xpT[:, :, i : i + s * ho : s, j : j + s * wo : s]
+            colsT[:, i, j] = xpT[:, :, i : i + ho, j : j + wo]
     colsT = colsT.reshape(c * kh * kw, n * ho * wo)
     wmat = w.data.reshape(f, -1)
     out = wmat @ colsT
@@ -506,14 +496,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         gxpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
         for i in range(kh):
             for j in range(kw):
-                gxpT[:, :, i : i + s * ho : s, j : j + s * wo : s] += gcolsT[:, i, j]
+                gxpT[:, :, i : i + ho, j : j + wo] += gcolsT[:, i, j]
         x._accumulate(gxpT[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward, "conv2d")
 
 
-def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
+def avg_pool2d(x: Tensor) -> Tensor:
     """Non-overlapping 2-by-2 average pooling; extents must be even.
 
     Each window sums as ((x00 + x01) + (x10 + x11)) / 4.  That is the
@@ -521,8 +511,6 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
     2, so values match it bitwise there; at width 2 numpy sums left to
     right instead.
     """
-    if k != 2:
-        raise ValueError(f"avg_pool2d: only k = 2 is supported, got {k}")
     _check_inputs("avg_pool2d", x)
     if x.data.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeMismatchError("avg_pool2d", x.shape, (2, 2))

@@ -25,6 +25,8 @@ from .rng import substream
 from .tensor import NonFiniteError, Parameter
 
 METRICS_HEADER = "step,epoch,loss,sim_qk,sim_qhat_k,lambda_mean,lr"
+# Images per forward pass when encoding a dataset for evaluation.
+EVAL_BATCH = 64
 
 
 class SGD:
@@ -107,7 +109,6 @@ def metrics_row(step: int, epoch: int, loss: float, diag: dict, lr: float) -> st
 @dataclass
 class TrainResult:
     framework: _FrameworkBase
-    rows: list[str]
     global_step: int
     checkpoint_path: Path | None
     metrics_path: Path | None
@@ -220,7 +221,6 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[str] = []
     metrics_path = out_dir / tc.metrics_path
     mode = "a" if resume is not None and metrics_path.exists() else "w"
     if mode == "a":
@@ -254,9 +254,7 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
                 fw.after_update(aux)
                 # Free this step's tape before the next batch is built.
                 del loss, aux
-                row = metrics_row(global_step, epoch, loss_val, diag, lr)
-                rows.append(row)
-                mf.write(row + "\n")
+                mf.write(metrics_row(global_step, epoch, loss_val, diag, lr) + "\n")
                 global_step += 1
             if log is not None:
                 log(f"epoch {epoch}: loss {loss_val:.6f} "
@@ -269,7 +267,7 @@ def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
                     global_step, done)
         mf.flush()
     save_training_checkpoint(ckpt_path, fw, opt, cfg, global_step, tc.epochs)
-    return TrainResult(fw, rows, global_step, ckpt_path, metrics_path)
+    return TrainResult(fw, global_step, ckpt_path, metrics_path)
 
 
 def load_pretrained(ckpt_path) -> tuple[_FrameworkBase, ExperimentConfig]:
@@ -289,7 +287,7 @@ def load_pretrained(ckpt_path) -> tuple[_FrameworkBase, ExperimentConfig]:
 
 
 def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
-                     out_size: int, batch: int = 64) -> tuple[np.ndarray, np.ndarray]:
+                     out_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic features and labels for probing and diagnostics.
 
     Images are resized (never randomly cropped), encoded, and
@@ -298,7 +296,7 @@ def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
     enc = fw.feature_encoder
     feats = []
     labels = np.array([r.label for r in records], dtype=np.int64)
-    for lo in range(0, len(records), batch):
-        chunk = records[lo:lo + batch]
+    for lo in range(0, len(records), EVAL_BATCH):
+        chunk = records[lo:lo + EVAL_BATCH]
         feats.append(embed(enc, np.stack([eval_view(r.image, out_size) for r in chunk])))
     return np.concatenate(feats, axis=0), labels

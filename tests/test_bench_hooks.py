@@ -54,3 +54,19 @@ def test_benchmark_eval_unit_runs(monkeypatch, tmp_path):
     first, second = worker.eval_unit(ctx), worker.eval_unit(ctx)
     assert first["errors"] == [] and second["errors"] == []
     assert first["digests"] == second["digests"]
+
+
+def test_benchmark_quickstart_unit_reproduces_its_reference(monkeypatch, tmp_path):
+    """The worker's `quickstart` workload, in-process: `prep` writes its
+    serial reference unit, and one `pretrain_unit` after `setup`, per-epoch
+    checkpoints on, gives that unit's `metrics.csv` and checkpoint digests."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("HCL_THREADS", "")  # `prep` sets it; restored on exit
+    import worker
+
+    reference, = worker.prep("quickstart", 1, tmp_path)["units"]
+    ctx = worker.setup("quickstart", tmp_path)
+    label = reference["label"]
+    unit = worker.pretrain_unit(label, ctx["cfgs"][label], ctx["records"], tmp_path / "run")
+    assert reference["errors"] == [] and unit["errors"] == []
+    assert unit["digests"] == reference["digests"]

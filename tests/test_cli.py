@@ -176,6 +176,21 @@ class TestProbeAndMetrics:
         assert rc == 0
         assert "uniformity_positive," in (met_dir / "metrics_report.csv").read_text()
 
+    def test_metrics_views_take_checkpoint_out_size(self, run):
+        """A config whose `augment.out_size` (default 32) differs from the
+        checkpoint's (8) gives the report of the checkpoint's own config."""
+        tmp_path, cfg, data, out = run
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"seed": TINY["seed"]}), encoding="utf-8")
+        reports = []
+        for name, config in (("own", cfg), ("bare", bare)):
+            rc = main(["metrics", "--config", str(config), "--data", str(data),
+                       "--checkpoint", str(out / "checkpoint.hcl"),
+                       "--out", str(tmp_path / f"metrics-{name}")])
+            assert rc == 0
+            reports.append((tmp_path / f"metrics-{name}" / "metrics_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestErrors:
     def test_unknown_subcommand_exits_2(self, tmp_path):

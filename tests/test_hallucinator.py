@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hcl.config import config_from_dict
 from hcl.gradcheck import check_parameter_gradients, finite_difference_check
@@ -44,20 +47,20 @@ class TestSampleLambda:
     def test_degenerate_interval_always_zero(self):
         cfg = ExtrapolationConfig(0.0, 0.0)
         rng = np.random.default_rng(0)
-        assert all(sample_lambda(cfg, rng) == 0.0 for _ in range(100))
+        assert np.all(sample_lambda(cfg, rng, (100,)) == 0.0)
 
     def test_uniform_moments_and_bounds(self):
         cfg = ExtrapolationConfig(0.0, 1.0)
         rng = np.random.default_rng(1)
-        draws = sample_lambda(cfg, rng, size=100_000)
+        draws = sample_lambda(cfg, rng, (100_000,))
         assert abs(draws.mean() - 0.5) < 0.01
         assert draws.min() >= 0.0
         assert draws.max() <= 1.0
 
     def test_batch_shape(self):
         cfg = ExtrapolationConfig(0.2, 0.3)
-        draws = sample_lambda(cfg, np.random.default_rng(2), size=7)
-        assert draws.shape == (7,)
+        draws = sample_lambda(cfg, np.random.default_rng(2), (2, 7))
+        assert draws.shape == (2, 7)
         assert np.all((draws >= 0.2) & (draws <= 0.3))
 
 
@@ -172,8 +175,8 @@ class TestInitHallucinator:
 class TestHallucinate:
     def test_n0_passes_extrapolation_through(self):
         params = init_hallucinator(4, 0, np.random.default_rng(0))
-        q = Tensor(np.ones(4))
-        qp = Tensor(np.arange(4.0))
+        q = Tensor(np.ones((1, 4)))
+        qp = Tensor(np.arange(4.0).reshape(1, 4))
         out = hallucinate(q, qp, params)
         assert out is qp
 
@@ -183,8 +186,8 @@ class TestHallucinate:
         b = Parameter(np.zeros(d), name="b")
         params = HallucinatorParams(d, [(w, b)])
         rng = np.random.default_rng(1)
-        q = Tensor(rng.standard_normal(d))
-        qp = Tensor(rng.standard_normal(d))
+        q = Tensor(rng.standard_normal((1, d)))
+        qp = Tensor(rng.standard_normal((1, d)))
         out = hallucinate(q, qp, params)
         np.testing.assert_allclose(out.data, q.data, atol=1e-15)
 
@@ -199,7 +202,13 @@ class TestHallucinate:
     def test_width_mismatch(self):
         params = init_hallucinator(4, 1, np.random.default_rng(4))
         with pytest.raises(ShapeMismatchError):
-            hallucinate(Tensor(np.zeros(4)), Tensor(np.zeros(5)), params)
+            hallucinate(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 5))), params)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_unbatched_rows(self, n):
+        params = init_hallucinator(4, n, np.random.default_rng(4))
+        with pytest.raises(ShapeMismatchError):
+            hallucinate(Tensor(np.zeros(4)), Tensor(np.zeros(4)), params)
 
     def test_not_affine_for_two_layers(self):
         # Additivity fails under random probes once a ReLU sits between
@@ -212,9 +221,9 @@ class TestHallucinate:
 
         violated = False
         for _ in range(10):
-            q1, q2 = rng.standard_normal(4), rng.standard_normal(4)
-            p1, p2 = rng.standard_normal(4), rng.standard_normal(4)
-            lhs = f(q1 + q2, p1 + p2) + f(np.zeros(4), np.zeros(4))
+            q1, q2 = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+            p1, p2 = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+            lhs = f(q1 + q2, p1 + p2) + f(np.zeros((1, 4)), np.zeros((1, 4)))
             rhs = f(q1, p1) + f(q2, p2)
             if not np.allclose(lhs, rhs, atol=1e-8):
                 violated = True
@@ -225,8 +234,8 @@ class TestHallucinate:
         d, n = 6, 3
         params = init_hallucinator(d, n, np.random.default_rng(7))
         rng = np.random.default_rng(8)
-        q0 = rng.standard_normal(d)
-        p0 = rng.standard_normal(d)
+        q0 = rng.standard_normal((1, d))
+        p0 = rng.standard_normal((1, d))
 
         def loss_of_q(t):
             out = hallucinate(t, Tensor(p0), params)
@@ -261,3 +270,45 @@ class TestHallucinate:
         assert any(
             not np.array_equal(w.data, prev) for (w, _), prev in zip(params.layers, before)
         )
+
+
+_ROWS = st.tuples(st.integers(1, 4), st.integers(2, 6))
+_FINITE = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data(), shape=_ROWS)
+def test_extrapolate_is_affine_in_lambda(data, shape):
+    """q' = q + lambda (q - k) up to rounding, for scalar and per-row
+    lambda, so q' at a blend of two lambdas is the blend of their q'."""
+    q = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+    k = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+    lam1, lam2 = (data.draw(hnp.arrays(np.float64, (shape[0],), elements=st.floats(-5.0, 5.0)))
+                  for _ in range(2))
+    a = data.draw(st.floats(0.0, 1.0))
+    tol = 1e-13 * (1.0 + np.abs(q).max() + np.abs(k).max())  # a few ulps of the largest term
+
+    def qp(lam):
+        return extrapolate(Tensor(q), Tensor(k), lam).data
+
+    np.testing.assert_allclose(qp(lam1), q + lam1[:, None] * (q - k), rtol=0, atol=tol)
+    np.testing.assert_allclose(qp(float(lam2[0])), q + lam2[0] * (q - k), rtol=0, atol=tol)
+    blend = a * qp(lam1) + (1.0 - a) * qp(lam2)
+    np.testing.assert_allclose(qp(a * lam1 + (1.0 - a) * lam2), blend, rtol=0, atol=tol)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data(), shape=_ROWS)
+def test_extrapolate_never_raises_cosine_to_k(data, shape):
+    """On unit rows with lambda >= 0, q' moves away from k along the line
+    through k and q, so its cosine to k can only fall."""
+    q, k = (data.draw(hnp.arrays(np.float64, shape, elements=_FINITE)) for _ in range(2))
+    for rows in (q, k):
+        norms = np.linalg.norm(rows, axis=1)
+        rows[norms < 1e-3] = 1.0  # a row that cannot be normalized: any fixed direction
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    lam = data.draw(hnp.arrays(np.float64, (shape[0],), elements=st.floats(0.0, 50.0)))
+    qp = extrapolate(Tensor(q), Tensor(k), lam).data
+    before = np.sum(q * k, axis=1)
+    after = np.sum(qp * k, axis=1) / np.linalg.norm(qp, axis=1)
+    assert np.all(after <= before + 1e-12)
