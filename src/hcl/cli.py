@@ -65,8 +65,9 @@ def _cmd_pretrain(args) -> int:
     cfg = _load_cfg(args)
     records = _load_records(cfg, args.data)
     out_dir = Path(args.out)
-    _write_echo(out_dir, cfg)
     result = pretrain(cfg, records, out_dir, resume=args.resume, log=print)
+    # after the run, so that a rejected resume leaves the run's echo as it was
+    _write_echo(out_dir, cfg)
     print(f"finished {result.global_step} steps; "
           f"checkpoint {result.checkpoint_path}; metrics {result.metrics_path}")
     return 0

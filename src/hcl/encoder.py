@@ -94,9 +94,6 @@ class ConvEncoder:
         h = relu(add(matmul(h, self.fc1_w), self.fc1_b))
         return add(matmul(h, self.fc2_w), self.fc2_b)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
-
     def copy_from(self, other: "ConvEncoder") -> None:
         """Overwrite this encoder's values with another's (shapes must match)."""
         for mine, theirs in zip(self.parameters(), other.parameters()):
@@ -125,5 +122,3 @@ class MLP:
     def forward(self, x: Tensor) -> Tensor:
         h = relu(add(matmul(x, self.w1), self.b1))
         return add(matmul(h, self.w2), self.b2)
-
-    __call__ = forward

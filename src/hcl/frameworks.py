@@ -369,7 +369,8 @@ class MoCoFramework(_FrameworkBase):
         self.queue = queue
 
     def encode_keys(self, x: np.ndarray) -> np.ndarray:
-        """Normalized key features of ``x``, computed without a tape.
+        """Normalized key features of ``x``, computed without a tape; the
+        one path to keys, for ``forward_loss`` and ``prime``.
 
         Training calls ``prime(x2)`` on the first batch, which fills the
         empty queue with that batch's own keys, so at step 0 every
@@ -378,9 +379,9 @@ class MoCoFramework(_FrameworkBase):
         return embed(self.key, x)
 
     def forward_loss(self, x1, x2, lambdas):
-        q = l2_normalize(self.query.forward(Tensor(np.asarray(x1, dtype=np.float64))))
+        q = l2_normalize(self.query.forward(Tensor(x1)))
         # The key encoder is never trained by gradients: no tape to build.
-        k = Tensor(embed(self.key, x2))
+        k = Tensor(self.encode_keys(x2))
         negatives = self.queue.entries()
         tau = self.cfg.temperature
         loss, diag = self._contrast(q, k, lambdas,
@@ -389,12 +390,8 @@ class MoCoFramework(_FrameworkBase):
 
     def after_update(self, aux: dict) -> None:
         m = self.cfg.momentum
-        if m == 0.0:
-            for pk, pq in zip(self.key.parameters(), self.query.parameters()):
-                pk.data[...] = pq.data
-        elif m != 1.0:
-            for pk, pq in zip(self.key.parameters(), self.query.parameters()):
-                pk.data[...] = m * pk.data + (1.0 - m) * pq.data
+        for pk, pq in zip(self.key.parameters(), self.query.parameters()):
+            pk.data[...] = m * pk.data + (1.0 - m) * pq.data
         self.queue.push(aux["keys"])
 
 
@@ -416,8 +413,8 @@ class SimCLRFramework(_FrameworkBase):
         b = np.asarray(x1).shape[0]
         if b < 2:
             raise ValueError("in-batch contrast needs batch size >= 2")
-        z1 = l2_normalize(self.encoder.forward(Tensor(np.asarray(x1, dtype=np.float64))))
-        z2 = l2_normalize(self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64))))
+        z1 = l2_normalize(self.encoder.forward(Tensor(x1)))
+        z2 = l2_normalize(self.encoder.forward(Tensor(x2)))
         bank = concat([z1, z2], axis=0)
         tau = self.cfg.temperature
         # z2 stays live, also in the extrapolation; the negative bank holds
@@ -457,8 +454,8 @@ class SimSiamFramework(_FrameworkBase):
         so differencing the raw loss would measure a different function.
         """
         with no_tape():
-            z1 = self.encoder.forward(Tensor(np.asarray(x1, dtype=np.float64)))
-            z2 = self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64)))
+            z1 = self.encoder.forward(Tensor(x1))
+            z2 = self.encoder.forward(Tensor(x2))
         return z2.data.copy(), z1.data.copy()
 
     def loss_closure(self, x1, x2, lambdas):
@@ -470,21 +467,17 @@ class SimSiamFramework(_FrameworkBase):
         plain = negative_cosine(p, target)
         if not self.cfg.hallucinator:
             return plain, None
-        if self.cfg.hallucinate_after_predictor:
-            q_prime = extrapolate(p, target, lams)
-            q_hat = hallucinate(p, q_prime, self.hall)
-            extra = negative_cosine(q_hat, target)
-        else:
-            q_prime = extrapolate(za, target, lams)
-            q_hat = hallucinate(za, q_prime, self.hall)
-            extra = negative_cosine(self.predictor.forward(q_hat), target)
+        after = self.cfg.hallucinate_after_predictor
+        q = p if after else za
+        q_hat = hallucinate(q, extrapolate(q, target, lams), self.hall)
+        extra = negative_cosine(q_hat if after else self.predictor.forward(q_hat), target)
         qh = q_hat.data / np.linalg.norm(q_hat.data, axis=1, keepdims=True)
         tn = target.data / np.linalg.norm(target.data, axis=1, keepdims=True)
         return self._mix(plain, extra), _row_cosine(qh, tn)
 
     def forward_loss(self, x1, x2, lambdas, frozen_targets=None):
-        z1 = self.encoder.forward(Tensor(np.asarray(x1, dtype=np.float64)))
-        z2 = self.encoder.forward(Tensor(np.asarray(x2, dtype=np.float64)))
+        z1 = self.encoder.forward(Tensor(x1))
+        z2 = self.encoder.forward(Tensor(x2))
         if frozen_targets is None:
             t1, t2 = Tensor(z2.data), Tensor(z1.data)
         else:

@@ -13,19 +13,24 @@ multiply, relu, exp, mean, sum, concat, L2-normalize, reshape, transpose,
 2-D convolution, 2-D average pooling, softmax cross-entropy with logits.
 
 No-tape mode: inside `with no_tape():` every op still computes and
-checks its output, but the result records no parents, no backward closure
-and `requires_grad=False`.  Forward-only passes (MoCo's key encoder,
+passes `_make`'s checks, but the result records no parents, no backward
+closure and `requires_grad=False`.  Forward-only passes (MoCo's key encoder,
 stop-gradient targets, feature extraction) use it, so each op's working
 buffers (conv2d's `colsT` and padded input, earlier activations) are
 freed as soon as the next op has read them rather than when the pass
 returns.  `backward()` on such an output raises the empty-tape error.
 
-Finiteness invariant: `_make` rejects any op output holding NaN or Inf,
-and ops check only their leaf inputs on entry (`_kind` "leaf"), with or
-without a tape.  This suffices because op outputs are never mutated after
-creation; the only in-place writes go to Parameters, which are leaves.
-Each array is therefore scanned once, and a non-finite value is reported
-by the op that produced it.
+Finiteness invariant: every op builds its output through `_make`, which
+rejects NaN or Inf first in each parent that is a leaf (`_kind` "leaf",
+role "input"), then in the output, with or without a tape.  Op outputs
+are never re-checked as inputs: they are never mutated after creation,
+and the only in-place writes go to Parameters, which are leaves.  Each
+array is therefore scanned once, and a non-finite value is reported by
+the op that produced it.  The leaf check runs after the op has computed,
+so when an input is wrong in two ways at once the op's own error (a
+shape mismatch, l2_normalize's zero row, scalar_multiply's non-finite
+scalar) wins over the leaf's `NonFiniteError`, and numpy may emit a
+RuntimeWarning before that error.
 
 Memory: a training step's live set peaks at the end of forward, when
 every activation and saved im2col matrix is held; backward then frees
@@ -234,30 +239,21 @@ class Parameter(Tensor):
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, kind: str) -> Tensor:
+    """The one gate every op passes: check leaf inputs, then the output,
+    and build the node."""
+    for p in parents:
+        if p._kind == "leaf":
+            _check_finite(p.data, kind, "input")
     _check_finite(data, kind, "output")
-    out = Tensor.__new__(Tensor)
-    out.data = _as_array(data)
-    out.grad = None
+    out = Tensor(data)
     out._kind = kind
-    if not _tape:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        return out
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _tape:
+        # parents stay on a no-grad output too, for tape-empty detection
         out._parents = parents
-        out._backward = backward
-    else:
-        out._parents = parents  # keep graph shape for tape-empty detection
-        out._backward = None
+        out.requires_grad = any(p.requires_grad for p in parents)
+        if out.requires_grad:
+            out._backward = backward
     return out
-
-
-def _check_inputs(kind: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if t._kind == "leaf":
-            _check_finite(t.data, kind, "input")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -274,7 +270,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_inputs("add", a, b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -288,7 +283,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    _check_inputs("multiply", a, b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -302,7 +296,6 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scalar_multiply(a: Tensor, c: float) -> Tensor:
-    _check_inputs("scalar_multiply", a)
     c = float(c)
     if not np.isfinite(c):
         raise NonFiniteError("scalar_multiply", "scalar input")
@@ -314,7 +307,6 @@ def scalar_multiply(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_inputs("matmul", a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     data = a.data @ b.data
@@ -327,7 +319,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _check_inputs("relu", a)
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
@@ -337,7 +328,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    _check_inputs("exp", a)
     data = np.exp(a.data)
 
     def backward(g):
@@ -347,7 +337,6 @@ def exp(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    _check_inputs("mean", a)
     n = a.size
 
     def backward(g):
@@ -357,7 +346,6 @@ def mean(a: Tensor) -> Tensor:
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    _check_inputs("sum", a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
@@ -374,7 +362,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = tuple(tensors)
     if not tensors:
         raise ValueError("concat: need at least one tensor")
-    _check_inputs("concat", *tensors)
     try:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
@@ -399,7 +386,6 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     silent epsilon result, because denormalized features would corrupt
     every similarity and uniformity diagnostic downstream.
     """
-    _check_inputs("l2_normalize", a)
     norm = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
     if np.any(norm == 0.0):
         raise ValueError("l2_normalize: zero vector along normalization axis")
@@ -413,7 +399,6 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    _check_inputs("reshape", a)
     try:
         data = a.data.reshape(shape)
     except ValueError:
@@ -426,7 +411,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    _check_inputs("transpose", a)
     if a.data.ndim != 2:
         raise ShapeMismatchError("transpose", a.shape)
 
@@ -453,13 +437,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -
     im2col; blocked BLAS kernels round both the same, but small products
     that BLAS sends to size-specific kernels may differ in the last bit.
     """
-    _check_inputs("conv2d", x, w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeMismatchError("conv2d", x.shape, w.shape)
-    if b is not None:
-        _check_inputs("conv2d", b)
-        if b.shape != (w.shape[0],):
-            raise ShapeMismatchError("conv2d bias", b.shape, (w.shape[0],))
+    if b is not None and b.shape != (w.shape[0],):
+        raise ShapeMismatchError("conv2d bias", b.shape, (w.shape[0],))
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     p = int(padding)
@@ -511,7 +492,6 @@ def avg_pool2d(x: Tensor) -> Tensor:
     2, so values match it bitwise there; at width 2 numpy sums left to
     right instead.
     """
-    _check_inputs("avg_pool2d", x)
     if x.data.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeMismatchError("avg_pool2d", x.shape, (2, 2))
     a = x.data
@@ -528,7 +508,6 @@ def avg_pool2d(x: Tensor) -> Tensor:
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy of integer class labels against logits (N, C)."""
-    _check_inputs("softmax_cross_entropy", logits)
     if logits.data.ndim != 2:
         raise ShapeMismatchError("softmax_cross_entropy", logits.shape)
     labels = np.asarray(labels, dtype=np.int64)

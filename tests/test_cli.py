@@ -220,6 +220,19 @@ class TestErrors:
         assert "hallucinator.beta2 must be a finite number" in capsys.readouterr().err
         assert not (out / "resolved_config.json").exists()
 
+    def test_rejected_resume_keeps_the_echo(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path)
+        data = _gen(tmp_path, cfg)
+        out = _pretrain(tmp_path, cfg, data, "run")
+        echo = (out / "resolved_config.json").read_bytes()
+        capsys.readouterr()
+        drifted = _cfg_file(tmp_path, {"train": {"lr": 0.03}}, name="drift.json")
+        rc = main(["pretrain", "--config", str(drifted), "--data", str(data), "--out", str(out),
+                   "--resume", str(out / "checkpoint.hcl")])
+        assert rc == 1
+        assert "train.lr: checkpoint 0.05, configured 0.03" in capsys.readouterr().err
+        assert (out / "resolved_config.json").read_bytes() == echo
+
 
 # Above OpenBLAS's single-thread cutoff, so that GEMMs really split across
 # two threads.

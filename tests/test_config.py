@@ -4,17 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcl.config import (
     DEFAULT_SEED,
+    TRAIN_PRESETS,
     ConfigError,
     ExperimentConfig,
     _check_section,
     config_from_dict,
     load_config,
 )
-from hcl.frameworks import FrameworkConfig
-from hcl.hallucinator import ExtrapolationConfig
+from hcl.frameworks import FRAMEWORK_NAMES, FrameworkConfig
+from hcl.hallucinator import RANGE_PRESETS, ExtrapolationConfig
 
 
 def _write(tmp_path, obj, name="c.json"):
@@ -426,6 +429,60 @@ class TestRoundTrip:
         cfg = ExperimentConfig()
         again = config_from_dict(json.loads(cfg.resolved_json()))
         assert again.resolved_dict() == cfg.resolved_dict()
+
+
+def _section(**keys):
+    """A config section holding any subset of ``keys``."""
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+def _floats(lo=None, hi=None, *, open_lo=False, open_hi=False):
+    return st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi,
+                     allow_nan=False, allow_infinity=False)
+
+
+_COUNT = st.integers(1, 2**31)
+_POSITIVE = _floats(0.0, open_lo=True)
+_UNIT = _floats(0.0, 1.0)
+_MOMENTUM = _floats(0.0, 1.0, open_hi=True)
+
+# Valid configs over every section and key.  Each bound of a pair is in order
+# with the other, whether that one is drawn or left at its default:
+# scale_min <= 0.2 <= scale_max, beta1 <= 0.0 and beta2 >= 1.0.
+_VALID_CONFIG = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(0, 2**63 - 1),
+    "framework": st.sampled_from(FRAMEWORK_NAMES),
+    "data": _section(path=st.text(), classes=st.integers(2, 2**31), per_class=_COUNT),
+    "augment": _section(
+        p=_floats(0.0, 1.0, open_lo=True), alpha=_floats(0.0, 1.0, open_lo=True, open_hi=True),
+        out_size=st.integers(4, 2**31), scale_min=_floats(0.0, 0.2, open_lo=True),
+        scale_max=_floats(0.2, 1.0), jitter_strength=_UNIT, grayscale_prob=_UNIT,
+        flip_prob=_UNIT, blur_prob=_UNIT, center_crop_both=st.booleans()),
+    "encoder": _section(channels=st.lists(_COUNT, min_size=1, max_size=4),
+                        kernel=st.integers(0, 5).map(lambda k: 2 * k + 1),
+                        hidden_dim=_COUNT, feature_dim=st.integers(2, 2**31)),
+    "train": _section(preset=st.sampled_from([None, *TRAIN_PRESETS]), batch_size=_COUNT,
+                      epochs=st.integers(0, 2**31), lr=_POSITIVE, sgd_momentum=_MOMENTUM,
+                      weight_decay=_floats(0.0), checkpoint_every=st.integers(0, 2**31),
+                      metrics_path=st.text()),
+    "probe": _section(epochs=_COUNT, lr=_POSITIVE, sgd_momentum=_MOMENTUM,
+                      weight_decay=_floats(0.0), batch_size=_COUNT,
+                      val_fraction=_floats(0.0, 1.0, open_lo=True, open_hi=True)),
+    "metrics": _section(t=_POSITIVE, pairs=st.sampled_from(["all", "positive"])),
+    "contrast": _section(temperature=_POSITIVE, momentum=_UNIT, queue_size=_COUNT),
+    "hallucinator": _section(
+        enabled=st.booleans(), layers=st.integers(0, 2**31),
+        range=st.sampled_from([None, *RANGE_PRESETS]), beta1=_floats(hi=0.0),
+        beta2=_floats(1.0), pair_weight=_UNIT, after_predictor=st.booleans()),
+})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(raw=_VALID_CONFIG)
+def test_resolved_json_round_trips(raw):
+    cfg = config_from_dict(raw)
+    text = cfg.resolved_json()
+    assert config_from_dict(json.loads(text)).resolved_json() == text
 
 
 class TestLoadConfig:

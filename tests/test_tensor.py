@@ -289,6 +289,13 @@ class TestFiniteness:
         with pytest.raises(NonFiniteError, match=r"^conv2d: non-finite values in input$"):
             conv2d(Tensor(args["x"]), Parameter(args["w"]), Parameter(args["b"]), padding=1)
 
+    def test_make_rejects_non_finite_leaf_parent(self):
+        # an op built from `_make` alone, with a finite output: only the
+        # gate itself can reject the NaN parent
+        w = Parameter(np.array([np.nan, 1.0]), name="w")
+        with pytest.raises(NonFiniteError, match=r"^gate: non-finite values in input$"):
+            hcl.tensor._make(np.zeros(2), (w,), lambda g: None, "gate")
+
 
 class TestBackward:
     def test_backward_requires_scalar(self):
