@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import NonFiniteError, Parameter, Tensor
+from .tensor import NonFiniteError, Parameter, Tensor, conv2d, no_tape
 
 DEFAULT_STEP = 1e-4
 TOLERANCE = 1e-4
@@ -53,7 +53,8 @@ def check_parameter_gradients(
     loss_fn must be a pure, scalar-valued function of the current
     parameter values (it is re-evaluated with in-place perturbations).
     Analytic gradients come from one backward pass, skipped when the loss
-    is not on a tape: a constant has zero gradient.
+    is not on a tape: a constant has zero gradient.  The perturbed
+    evaluations run under `no_tape()`, since only their value is read.
     """
     if step <= 0:
         raise ValueError("check_parameter_gradients: step must be positive")
@@ -73,10 +74,11 @@ def check_parameter_gradients(
         flat_data = p.data.reshape(-1)
         for i in range(flat_data.size):
             orig = flat_data[i]
-            flat_data[i] = orig + step
-            hi = float(loss_fn().data)
-            flat_data[i] = orig - step
-            lo = float(loss_fn().data)
+            with no_tape():
+                flat_data[i] = orig + step
+                hi = float(loss_fn().data)
+                flat_data[i] = orig - step
+                lo = float(loss_fn().data)
             flat_data[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise NonFiniteError("check_parameter_gradients", "probed neighborhood")
@@ -91,6 +93,15 @@ def _away_from_kinks(x: np.ndarray, margin: float = 0.05) -> np.ndarray:
     small = np.abs(out) < margin
     out[small] = np.where(out[small] >= 0, out[small] + margin, out[small] - margin)
     return out
+
+
+def _stage_clear_of_kinks(rng: np.random.Generator, margin: float = 0.05):
+    """(x, w, b) for a padded 3x3 conv stage whose every pre-activation lies
+    at least `margin` from relu's corner, drawn by rejection."""
+    while True:
+        x, w, b = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2)
+        if np.abs(conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data).min() >= margin:
+            return x, w, b
 
 
 def op_gradcheck_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, float]:
@@ -150,6 +161,17 @@ def op_gradcheck_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, f
                        Tensor(r(2, 3, 4, 4))),
         "softmax_cross_entropy": (lambda x: T.softmax_cross_entropy(x, labels5),
                                   Tensor(r(5, 3))),
+    }
+    # drawn after every input above, which therefore keeps its values
+    xs, ws, bs = (Tensor(a) for a in _stage_clear_of_kinks(rng))
+    m2222 = Tensor(r(2, 2, 2, 2))
+    cases |= {
+        "conv_relu_pool_input": (lambda x: T.mean(T.multiply(T.conv_relu_pool(x, ws, bs, padding=1), m2222)),
+                                 Tensor(xs.data)),
+        "conv_relu_pool_weight": (lambda w: T.mean(T.multiply(T.conv_relu_pool(xs, w, bs, padding=1), m2222)),
+                                  Tensor(ws.data)),
+        "conv_relu_pool_bias": (lambda b: T.mean(T.multiply(T.conv_relu_pool(xs, ws, b, padding=1), m2222)),
+                                Tensor(bs.data)),
     }
 
     errors: dict[str, float] = {}

@@ -10,7 +10,9 @@ bitwise identical.
 
 Supported operation kinds: matmul, add, scalar multiply, elementwise
 multiply, relu, exp, mean, sum, concat, L2-normalize, reshape, transpose,
-2-D convolution, 2-D average pooling, softmax cross-entropy with logits.
+2-D convolution, 2-D average pooling, the fused encoder stage
+conv -> relu -> 2x2 average pool (`conv_relu_pool`), softmax
+cross-entropy with logits.
 
 No-tape mode: inside `with no_tape():` every op still computes and
 passes `_make`'s checks, but the result records no parents, no backward
@@ -18,7 +20,9 @@ closure and `requires_grad=False`.  Forward-only passes (MoCo's key encoder,
 stop-gradient targets, feature extraction) use it, so each op's working
 buffers (conv2d's `colsT` and padded input, earlier activations) are
 freed as soon as the next op has read them rather than when the pass
-returns.  `backward()` on such an output raises the empty-tape error.
+returns; `conv_relu_pool` keeps nothing, freeing its `colsT` right after
+the GEMM and building no relu mask.  `backward()` on such an output
+raises the empty-tape error.
 
 Finiteness invariant: every op builds its output through `_make`, which
 rejects NaN or Inf first in each parent that is a leaf (`_kind` "leaf",
@@ -26,14 +30,19 @@ role "input"), then in the output, with or without a tape.  Op outputs
 are never re-checked as inputs: they are never mutated after creation,
 and the only in-place writes go to Parameters, which are leaves.  Each
 array is therefore scanned once, and a non-finite value is reported by
-the op that produced it.  The leaf check runs after the op has computed,
+the op that produced it.  Only op outputs are checked: inside
+`conv_relu_pool` the conv output (the pre-activation) is not one, so a
+NaN or +Inf there is reported in its pooled output, but a -Inf that relu
+maps to 0 goes unreported.  The leaf check runs after the op has computed,
 so when an input is wrong in two ways at once the op's own error (a
 shape mismatch, l2_normalize's zero row, scalar_multiply's non-finite
 scalar) wins over the leaf's `NonFiniteError`, and numpy may emit a
 RuntimeWarning before that error.
 
 Memory: a training step's live set peaks at the end of forward, when
-every activation and saved im2col matrix is held; backward then frees
+every activation and saved im2col matrix is held (per encoder stage,
+`conv_relu_pool` holds its `colsT`, a 1-byte relu mask and its pooled
+output, and no conv or relu output); backward then frees
 them layer by layer as it walks back, so it adds little on top of that
 peak and leaves only the parameters' gradients and whatever the caller
 still holds.  Importing this module on glibc raises malloc's mmap and
@@ -56,7 +65,7 @@ import numpy as np
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # glibc caps the mmap threshold at 32 MiB on 64-bit builds; the largest
-# per-step array at the desk config (conv2d's layer-1 `colsT`) is ~19 MB.
+# per-step array at the desk config (the second stage's `colsT`) is ~19 MB.
 _MMAP_THRESHOLD = 32 * 1024 * 1024
 _TRIM_THRESHOLD = 256 * 1024 * 1024
 
@@ -423,6 +432,56 @@ def transpose(a: Tensor) -> Tensor:
 # ---- convolution stack ---------------------------------------------------
 
 
+def _conv_geometry(kind: str, x: Tensor, w: Tensor, b: Tensor | None, padding: int):
+    """Shape-check a conv's operands; return (n, f, kh, kw, p, ho, wo)."""
+    if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
+        raise ShapeMismatchError(kind, x.shape, w.shape)
+    if b is not None and b.shape != (w.shape[0],):
+        raise ShapeMismatchError(f"{kind} bias", b.shape, (w.shape[0],))
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    p = int(padding)
+    ho = h + 2 * p - kh + 1
+    wo = wd + 2 * p - kw + 1
+    if ho < 1 or wo < 1:
+        raise ShapeMismatchError(kind, x.shape, w.shape)
+    return n, f, kh, kw, p, ho, wo
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """Channel-major im2col of NCHW `x`: (C*kh*kw, N*Ho*Wo), filled by
+    kh*kw block copies from a padded (C, N, H+2p, W+2p) buffer."""
+    n, c, h, wd = x.shape
+    xpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
+    xpT[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
+    colsT = np.empty((c, kh, kw, n, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            colsT[:, i, j] = xpT[:, :, i : i + ho, j : j + wo]
+    return colsT.reshape(c * kh * kw, n * ho * wo)
+
+
+def _col2im(gcolsT: np.ndarray, x_shape, kh: int, kw: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """Adjoint of `_im2col`: kh*kw block adds into a padded buffer, in the
+    same (i, j) order as a window-by-window scatter; an NCHW view."""
+    n, c, h, wd = x_shape
+    gcolsT = gcolsT.reshape(c, kh, kw, n, ho, wo)
+    gxpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
+    for i in range(kh):
+        for j in range(kw):
+            gxpT[:, :, i : i + ho, j : j + wo] += gcolsT[:, i, j]
+    return gxpT[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3)
+
+
+def _pool2x2(a: np.ndarray) -> np.ndarray:
+    """2-by-2 window means over the last two axes, as
+    ((x00 + x01) + (x10 + x11)) * 0.25: two paired adds, then one scale."""
+    r = a[..., 0::2] + a[..., 1::2]
+    out = r[..., 0::2, :] + r[..., 1::2, :]
+    out *= 0.25
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -> Tensor:
     """Direct 2-D convolution (cross-correlation), NCHW layout.
 
@@ -437,25 +496,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -
     im2col; blocked BLAS kernels round both the same, but small products
     that BLAS sends to size-specific kernels may differ in the last bit.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatchError("conv2d", x.shape, w.shape)
-    if b is not None and b.shape != (w.shape[0],):
-        raise ShapeMismatchError("conv2d bias", b.shape, (w.shape[0],))
-    n, c, h, wd = x.shape
-    f, _, kh, kw = w.shape
-    p = int(padding)
-    ho = h + 2 * p - kh + 1
-    wo = wd + 2 * p - kw + 1
-    if ho < 1 or wo < 1:
-        raise ShapeMismatchError("conv2d", x.shape, w.shape)
-
-    xpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
-    xpT[:, :, p : p + h, p : p + wd] = x.data.transpose(1, 0, 2, 3)
-    colsT = np.empty((c, kh, kw, n, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            colsT[:, i, j] = xpT[:, :, i : i + ho, j : j + wo]
-    colsT = colsT.reshape(c * kh * kw, n * ho * wo)
+    n, f, kh, kw, p, ho, wo = _conv_geometry("conv2d", x, w, b, padding)
+    colsT = _im2col(x.data, kh, kw, p, ho, wo)
     wmat = w.data.reshape(f, -1)
     out = wmat @ colsT
     # one-shot: backward frees colsT before allocating gcolsT, its twin
@@ -471,14 +513,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -
         w._accumulate((saved.pop() @ gmat).T.reshape(w.shape))
         if b is not None:
             b._accumulate(gmat.sum(axis=0))
-        if not x.requires_grad:
-            return
-        gcolsT = (wmat.T @ gmat.T).reshape(c, kh, kw, n, ho, wo)
-        gxpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
-        for i in range(kh):
-            for j in range(kw):
-                gxpT[:, :, i : i + ho, j : j + wo] += gcolsT[:, i, j]
-        x._accumulate(gxpT[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3))
+        if x.requires_grad:
+            x._accumulate(_col2im(wmat.T @ gmat.T, x.shape, kh, kw, p, ho, wo))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward, "conv2d")
@@ -487,20 +523,61 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -
 def avg_pool2d(x: Tensor) -> Tensor:
     """Non-overlapping 2-by-2 average pooling; extents must be even.
 
-    Each window sums as ((x00 + x01) + (x10 + x11)) / 4.  That is the
-    order numpy's `mean` over the two window axes uses for widths above
-    2, so values match it bitwise there; at width 2 numpy sums left to
-    right instead.
+    Each window sums as ((x00 + x01) + (x10 + x11)) / 4 (times 0.25, the
+    same bits).  That is the order numpy's `mean` over the two window axes
+    uses for widths above 2, so values match it bitwise there; at width 2
+    numpy sums left to right instead.
     """
     if x.data.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeMismatchError("avg_pool2d", x.shape, (2, 2))
-    a = x.data
-    data = ((a[:, :, 0::2, 0::2] + a[:, :, 0::2, 1::2]) + (a[:, :, 1::2, 0::2] + a[:, :, 1::2, 1::2])) / 4
 
     def backward(g):
         x._accumulate(np.repeat(np.repeat(g / 4, 2, axis=3), 2, axis=2))
 
-    return _make(data, (x,), backward, "avg_pool2d")
+    return _make(_pool2x2(x.data), (x,), backward, "avg_pool2d")
+
+
+def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
+    """One encoder stage, `avg_pool2d(relu(conv2d(x, w, b, padding=padding)))`,
+    as one op with the same bits.
+
+    NCHW in, NCHW out; the conv output extents must be even.  The conv
+    output stays channel-major (F, N*Ho*Wo) from the GEMM through the
+    bias, the in-place relu and the pool; only the quarter-size pooled
+    output is transposed to NCHW.  Under the tape the op keeps `colsT`
+    and a 1-byte relu mask (pre-activation > 0), and no conv or relu
+    output; without a tape it frees `colsT` right after the GEMM and
+    builds no mask.  Backward writes the upsampled `g * 0.25`, masks it
+    in place, and runs conv2d's GEMMs and col2im on that (F, N*Ho*Wo)
+    gradient; the bias gradient sums each row in order, as conv2d does.
+    """
+    n, f, kh, kw, p, ho, wo = _conv_geometry("conv_relu_pool", x, w, b, padding)
+    if ho % 2 or wo % 2:
+        raise ShapeMismatchError("conv_relu_pool", x.shape, w.shape, (2, 2))
+    colsT = _im2col(x.data, kh, kw, p, ho, wo)
+    wmat = w.data.reshape(f, -1)
+    out = wmat @ colsT
+    # one-shot: backward frees colsT before allocating gcolsT, its twin
+    saved = [colsT] if _tape else None
+    del colsT
+    out += b.data[:, None]
+    np.maximum(out, 0.0, out=out)
+    mask = out > 0.0 if _tape else None
+    pooled = _pool2x2(out.reshape(f, n, ho, wo))
+    del out
+    data = np.ascontiguousarray(pooled.transpose(1, 0, 2, 3))
+
+    def backward(g):
+        gT = np.empty((f, n * ho * wo))
+        gq = g.transpose(1, 0, 2, 3) * 0.25
+        gT.reshape(f, n, ho // 2, 2, wo // 2, 2)[...] = gq[:, :, :, None, :, None]
+        gT *= mask
+        w._accumulate((saved.pop() @ gT.T).T.reshape(w.shape))
+        b._accumulate(np.cumsum(gT, axis=1)[:, -1])
+        if x.requires_grad:
+            x._accumulate(_col2im(wmat.T @ gT, x.shape, kh, kw, p, ho, wo))
+
+    return _make(data, (x, w, b), backward, "conv_relu_pool")
 
 
 # ---- losses ---------------------------------------------------------------

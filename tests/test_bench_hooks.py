@@ -29,6 +29,15 @@ def test_every_benchmark_hook_has_a_target(monkeypatch):
     assert hcl.train.build_batch is original
 
 
+def test_benchmark_import_site_still_imports_conv2d():
+    """`perfbench/tests` checks that a hook reaches every module that
+    imported its target by name, with `hcl.encoder.conv2d` as that module."""
+    import hcl.encoder
+    import hcl.tensor
+
+    assert hcl.encoder.conv2d is hcl.tensor.conv2d
+
+
 def test_benchmark_setup_path_runs(monkeypatch, tmp_path):
     """The worker's `prep` and `setup` roles, in-process, on `desk`: its
     configs load, and a framework builds through `framework_config()` and

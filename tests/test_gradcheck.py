@@ -101,6 +101,18 @@ class TestParameterGradients:
         with pytest.raises(ValueError, match="step"):
             check_parameter_gradients(lambda: mean(w), [w], step=-1e-4)
 
+    def test_perturbed_evaluations_run_without_tape(self):
+        w = Parameter(np.array([0.5, -1.5]), name="w")
+        taped = []
+
+        def loss():
+            out = mean(multiply(w, w))
+            taped.append(bool(out._parents))
+            return out
+
+        assert check_parameter_gradients(loss, [w]) < 1e-8
+        assert taped == [True] + [False] * 4
+
 
 class TestBackwardLinearity:
     def test_grad_of_linear_combination(self):
@@ -133,7 +145,7 @@ class TestOpSuite:
         results = op_gradcheck_suite()
         for op in ("matmul", "add", "scalar_multiply", "multiply", "relu",
                    "concat", "l2_normalize", "mean", "exp",
-                   "softmax_cross_entropy", "avg_pool2d"):
+                   "softmax_cross_entropy", "avg_pool2d", "conv_relu_pool"):
             assert any(op in key for key in results), op
         assert any("conv2d" in key for key in results)
 

@@ -21,6 +21,7 @@ from hcl.tensor import (
     avg_pool2d,
     concat,
     conv2d,
+    conv_relu_pool,
     exp,
     l2_normalize,
     matmul,
@@ -276,6 +277,109 @@ class TestConvPoolOracle:
         assert np.array_equal(avg_pool2d(Tensor(x)).data, paired)
 
 
+def _stage_with_grads(fused, x, w, b, padding, g):
+    """(out, gx, gw, gb) of one encoder stage, as `conv_relu_pool` or as
+    the three-op composition, for upstream gradient g."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    if fused:
+        out = conv_relu_pool(xt, wt, bt, padding=padding)
+    else:
+        out = avg_pool2d(relu(conv2d(xt, wt, bt, padding=padding)))
+    sum_(multiply(out, Tensor(g))).backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def _stage_without_tape(fused, x, w, b, padding):
+    with no_tape():
+        if fused:
+            return conv_relu_pool(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+        return avg_pool2d(relu(conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding))).data
+
+
+def _assert_stage_matches_composition(x, w, b, padding, g):
+    got = _stage_with_grads(True, x, w, b, padding, g)
+    want = _stage_with_grads(False, x, w, b, padding, g)
+    for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
+        assert a.shape == e.shape, name
+        assert np.array_equal(a, e), name
+    free = _stage_without_tape(True, x, w, b, padding)
+    assert np.array_equal(free, _stage_without_tape(False, x, w, b, padding))
+    assert np.array_equal(free, got[0])
+
+
+class TestConvReluPoolOracle:
+    """The fused encoder stage against `avg_pool2d(relu(conv2d(...)))`."""
+
+    @pytest.mark.parametrize(
+        "n,c,side,f",
+        [(64, 3, 32, 16), (64, 16, 16, 32), (64, 32, 8, 64),  # desk encoder layers
+         (32, 3, 16, 8), (32, 8, 8, 16)],  # quickstart encoder layers
+    )
+    def test_bitwise_at_encoder_shapes(self, n, c, side, f):
+        rng = np.random.default_rng(side * f + 7)
+        x = rng.normal(size=(n, c, side, side))
+        w = rng.normal(size=(f, c, 3, 3))
+        g = rng.normal(size=(n, f, side // 2, side // 2))
+        _assert_stage_matches_composition(x, w, rng.normal(size=f), 1, g)
+
+    @pytest.mark.parametrize(
+        "k,padding,n,c,f",
+        [(k, p, n, c, f) for k, p in itertools.product((1, 2, 3), (0, 1, 2))
+         for n, c, f in ((1, 1, 1), (3, 5, 4))],
+    )
+    def test_index_mapping_exact(self, k, padding, n, c, f):
+        """Odd and even windows, padding up to twice the encoder's one, and
+        input extents chosen so both conv output extents are even."""
+        rng = np.random.default_rng(k * 100 + padding * 10 + n)
+        h, wd = 6 + (k + 1) % 2, 10 + (k + 1) % 2
+        ho, wo = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
+        assert ho % 2 == 0 and wo % 2 == 0
+        x = _nonzero_ints(rng, (n, c, h, wd))
+        w = _nonzero_ints(rng, (f, c, k, k))
+        g = _nonzero_ints(rng, (n, f, ho // 2, wo // 2))
+        _assert_stage_matches_composition(x, w, _nonzero_ints(rng, f), padding, g)
+
+    @pytest.mark.parametrize("shape,padding", [((1, 2, 5, 4), 1), ((1, 2, 4, 5), 1),
+                                               ((1, 2, 1, 1), 0), ((2, 4, 4), 1)])
+    def test_odd_empty_or_non_4d_rejected(self, shape, padding):
+        x, w, b = Tensor(np.ones(shape)), Tensor(np.ones((3, 2, 3, 3))), Tensor(np.ones(3))
+        with pytest.raises(ShapeMismatchError, match=r"^conv_relu_pool: "):
+            conv_relu_pool(x, w, b, padding=padding)
+
+    def test_bias_shape_checked(self):
+        x, w = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3)))
+        with pytest.raises(ShapeMismatchError, match=r"^conv_relu_pool bias: "):
+            conv_relu_pool(x, w, Tensor(np.ones(2)), padding=1)
+
+
+def _stage_or_shape_error(fused, x, w, b, padding):
+    try:
+        return _stage_without_tape(fused, x, w, b, padding)
+    except ShapeMismatchError:
+        return None
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), c_w=st.integers(1, 3), f=st.integers(1, 3),
+       extra_bias=st.booleans(), h=st.integers(1, 9), wd=st.integers(1, 9),
+       k=st.integers(1, 4), padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_conv_relu_pool_shape_rule(n, c, c_w, f, extra_bias, h, wd, k, padding, seed):
+    """Either the fused stage returns (n, f, ho/2, wo/2), equal to the
+    composition, or both raise ShapeMismatchError; never a bare numpy error."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, wd))
+    w = rng.normal(size=(f, c_w, k, k))
+    b = rng.normal(size=f + extra_bias)
+    fused = _stage_or_shape_error(True, x, w, b, padding)
+    composed = _stage_or_shape_error(False, x, w, b, padding)
+    if composed is None:
+        assert fused is None
+    else:
+        ho, wo = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
+        assert fused.shape == (n, f, ho // 2, wo // 2)
+        assert np.array_equal(fused, composed)
+
+
 class TestFiniteness:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_mid_graph_overflow_named_by_producing_op(self):
@@ -288,6 +392,16 @@ class TestFiniteness:
         args[bad].flat[1] = np.nan
         with pytest.raises(NonFiniteError, match=r"^conv2d: non-finite values in input$"):
             conv2d(Tensor(args["x"]), Parameter(args["w"]), Parameter(args["b"]), padding=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_conv_relu_pool_checks_only_what_survives_relu(self):
+        """A pre-activation is not an op output: +inf reaches the pooled
+        output and is reported there, -inf becomes 0 and is not."""
+        x = Tensor(np.full((1, 1, 2, 2), 1e308))
+        with pytest.raises(NonFiniteError, match=r"^conv_relu_pool: non-finite values in output$"):
+            conv_relu_pool(x, Tensor(np.full((1, 1, 1, 1), 10.0)), Tensor(np.zeros(1)), padding=0)
+        out = conv_relu_pool(x, Tensor(np.full((1, 1, 1, 1), -10.0)), Tensor(np.zeros(1)), padding=0)
+        assert np.array_equal(out.data, np.zeros((1, 1, 1, 1)))
 
     def test_make_rejects_non_finite_leaf_parent(self):
         # an op built from `_make` alone, with a finite output: only the
@@ -457,6 +571,64 @@ class TestTapeRelease:
             tracemalloc.stop()
         assert peak - forward < cols_bytes / 2
 
+    @staticmethod
+    def _stage(seed, n, c, f):
+        rng = np.random.default_rng(seed)
+        return (Tensor(rng.random((n, c, 32, 32)), requires_grad=True),
+                Parameter(rng.random((f, c, 3, 3))), Parameter(np.zeros(f)))
+
+    def test_conv_relu_pool_frees_cols_before_col2im(self):
+        # as for conv2d: colsT (72 rows) dwarfs x (8 channels) and the
+        # conv output (1 filter), so keeping it through backward would
+        # raise the peak by about its size
+        x, w, b = self._stage(2, 4, 8, 1)
+        cols_bytes = 8 * 9 * 4 * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            loss = sum_(conv_relu_pool(x, w, b, padding=1))
+            forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - forward < cols_bytes / 2
+
+    def test_conv_relu_pool_keeps_cols_mask_and_output_only(self):
+        # 16 filters over 2 channels: the conv output (and the relu output,
+        # its size) is nearly as large as colsT and 4x the pooled output,
+        # so keeping either one exceeds the slack
+        x, w, b = self._stage(3, 4, 2, 16)
+        m = 4 * 32 * 32
+        cols_bytes, conv_bytes = 2 * 9 * m * 8, 16 * m * 8
+        mask_bytes, out_bytes = 16 * m, conv_bytes // 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv_relu_pool(x, w, b, padding=1)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert live <= cols_bytes + mask_bytes + out_bytes + conv_bytes / 4
+
+    def test_conv_relu_pool_without_tape_frees_cols_after_the_gemm(self):
+        # colsT and the conv output coexist only in the GEMM; the relu and
+        # the pool's temporaries come after colsT is gone, and no mask is built
+        x, w, b = self._stage(4, 4, 2, 16)
+        m = 4 * 32 * 32
+        cols_bytes, conv_bytes = 2 * 9 * m * 8, 16 * m * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_tape():
+                out = conv_relu_pool(x, w, b, padding=1)
+            live, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert live <= conv_bytes / 4 + 4096  # the pooled output alone
+        assert peak <= cols_bytes + conv_bytes + conv_bytes / 8
+
 
 def _small_encoder(seed=0):
     cfg = EncoderConfig(channels=(4, 8), hidden_dim=16, feature_dim=8)
@@ -535,8 +707,8 @@ class TestNoTape:
         else:
             with no_tape():
                 out = l2_normalize(enc.forward(x))
-        # 3 ops per conv layer, then reshape, 2 x (matmul, add), relu, l2_normalize
-        n_ops = 3 * len(enc.convs) + 7
+        # 1 op per conv stage, then reshape, 2 x (matmul, add), relu, l2_normalize
+        n_ops = len(enc.convs) + 7
         outputs = [a for a, role in seen if role == "output"]
         inputs = [a for a, role in seen if role == "input"]
         assert len(outputs) == n_ops and outputs[-1] is out.data
