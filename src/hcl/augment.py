@@ -23,18 +23,23 @@ each photometric step is a broadcast over views (or over the masked
 views it applies to), and blur runs once per kernel radius.  Per
 element it does the same arithmetic in the same order as a
 view-by-view pipeline, so a view's bytes do not depend on the batch it
-was made in.  `augment_pair`, `center_suppressed_crop` and
+was made in.
+
+A batch is one (B, h, w, 3) uint8 array, such as a slice of a dataset's
+``image`` column, so all its images share one size; a single image is an
+(h, w, 3) uint8 array.  `augment_pair`, `center_suppressed_crop` and
 `apply_transforms` are batches of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import Image, hsv_to_rgb
+from .data import hsv_to_rgb
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 # Bounds of the log-uniform crop aspect ratio (width / height).
@@ -96,16 +101,17 @@ class TransformDraws:
     flip: bool
 
 
-def center_crop(img: Image, p: float) -> Image:
-    """Centered crop with side ratio p; extents floor(p*h) x floor(p*w).
+def center_crop(img: np.ndarray, p: float) -> np.ndarray:
+    """Centered crop of an (h, w, 3) image with side ratio p; extents
+    floor(p*h) x floor(p*w).
 
     The crop center coincides with the image center (up to the fixed
     floor rule); pixels are copied without interpolation.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"center_crop: p must be in (0,1], got {p}")
-    r = center_crop_region(img.h, img.w, p)
-    return Image(img.pixels[r.top : r.top + r.crop_h, r.left : r.left + r.crop_w].copy())
+    r = center_crop_region(img.shape[0], img.shape[1], p)
+    return img[r.top : r.top + r.crop_h, r.left : r.left + r.crop_w].copy()
 
 
 def center_crop_region(h: int, w: int, p: float) -> CropRegion:
@@ -130,6 +136,10 @@ def sample_beta(alpha: float, rng: np.random.Generator) -> float:
         y = v ** (1.0 / alpha)
         if 0.0 < x + y <= 1.0:
             return x / (x + y)
+        if x + y == 0.0 < u * v:
+            # Both powers underflowed (alpha below ~0.05), so x + y <= 1
+            # holds: take x / (x + y) = 1 / (1 + (v / u) ** (1 / alpha)) in logs.
+            return 0.5 - 0.5 * math.tanh((math.log(v) - math.log(u)) / (2.0 * alpha))
 
 
 # ---- draw phase ------------------------------------------------------------
@@ -211,11 +221,13 @@ def _bilerp(p00, p01, p10, p11, fy, fx):
 
 
 def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel center alignment, float64 in/out."""
+    """Bilinear resize of (..., h, w, c) to (..., out_h, out_w, c) with
+    half-pixel center alignment, float64 out; leading axes are a batch."""
     src = np.asarray(pixels, dtype=np.float64)
-    y0, y1, fy = (a[0] for a in _bilinear_taps([src.shape[0]], out_h))
-    x0, x1, fx = (a[0] for a in _bilinear_taps([src.shape[1]], out_w))
-    return _bilerp(src[y0][:, x0], src[y0][:, x1], src[y1][:, x0], src[y1][:, x1],
+    y0, y1, fy = (a[0] for a in _bilinear_taps([src.shape[-3]], out_h))
+    x0, x1, fx = (a[0] for a in _bilinear_taps([src.shape[-2]], out_w))
+    top, bottom = src[..., y0, :, :], src[..., y1, :, :]
+    return _bilerp(top[..., x0, :], top[..., x1, :], bottom[..., x0, :], bottom[..., x1, :],
                    fy[:, None, None], fx[None, :, None])
 
 
@@ -227,25 +239,23 @@ def _to_uint8(x: np.ndarray) -> np.ndarray:
     return x.astype(np.uint8)
 
 
-def _crop_resize(images: Sequence[np.ndarray], which: Sequence[int],
+def _crop_resize(images: np.ndarray, which: Sequence[int],
                  regions: Sequence[CropRegion], out_size: int) -> np.ndarray:
     """uint8 views (V, S, S, 3): view v is regions[v] of images[which[v]],
     bilinear-resized to S = out_size.
 
-    Images are (h, w, 3) uint8 and may differ in size.  Each bilinear tap
-    of every view is one gather from the concatenated pixels.
+    Images are (N, h, w, 3) uint8.  Each bilinear tap of every view is one
+    gather from their pixels as (N*h*w, 3) rows.
     """
-    unit = np.concatenate([im.reshape(-1, 3) for im in images]).astype(np.float64)
+    h, w = images.shape[1:3]
+    unit = images.astype(np.float64).reshape(-1, 3)
     unit /= 255.0
-    which = np.asarray(which, dtype=np.int64)
-    starts = np.cumsum([0] + [im.shape[0] * im.shape[1] for im in images])[which]
-    width = np.array([im.shape[1] for im in images], dtype=np.int64)[which]
+    starts = np.asarray(which, dtype=np.int64) * (h * w)
     top, left, ch, cw = (np.array(col, dtype=np.int64) for col in
                          zip(*[(r.top, r.left, r.crop_h, r.crop_w) for r in regions]))
     y0, y1, fy = _bilinear_taps(ch, out_size)
     x0, x1, fx = _bilinear_taps(cw, out_size)
-    rows = [(starts[:, None] + (top[:, None] + y) * width[:, None])[:, :, None]
-            for y in (y0, y1)]
+    rows = [(starts[:, None] + (top[:, None] + y) * w)[:, :, None] for y in (y0, y1)]
     cols = [(left[:, None] + x)[:, None, :] for x in (x0, x1)]
     taps = [np.take(unit, r + c, axis=0) for r in rows for c in cols]
     # Weights repeated over channels keep the innermost loops long.
@@ -357,9 +367,10 @@ def _photometric(views: np.ndarray, draws: Sequence[TransformDraws]) -> np.ndarr
 # ---- public entry points ---------------------------------------------------
 
 
-def augment_batch(images: Sequence[Image], cfg: AugmentConfig,
+def augment_batch(images: np.ndarray, cfg: AugmentConfig,
                   rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Two uint8 view batches (B, S, S, 3), S = out_size, one pair per image.
+    """Two uint8 view batches (B, S, S, 3), S = out_size, one pair per
+    image of the (B, h, w, 3) uint8 batch ``images``.
 
     Sample i takes all its draws from rngs[i], so its views depend only
     on (images[i], rngs[i]): view 1 from the centered sub-image, view 2
@@ -367,61 +378,62 @@ def augment_batch(images: Sequence[Image], cfg: AugmentConfig,
     center_crop_both is set).
     """
     cfg.validate()
+    if images.ndim != 4 or images.shape[3] != 3 or images.dtype != np.uint8:
+        raise ValueError(f"augment_batch: expected (B, h, w, 3) uint8 images, "
+                         f"got {images.shape} {images.dtype}")
     if len(images) != len(rngs):
         raise ValueError(f"augment_batch: {len(images)} images but {len(rngs)} generators")
+    b, h, w = images.shape[:3]
+    inner = center_crop_region(h, w, cfg.p)
+    outer = inner if cfg.center_crop_both else CropRegion(0, 0, h, w)
     regions, draws = [], []
-    for img, rng in zip(images, rngs):
-        inner = center_crop_region(img.h, img.w, cfg.p)
-        outer = inner if cfg.center_crop_both else CropRegion(0, 0, img.h, img.w)
+    for rng in rngs:
         for src in (inner, outer):
             r = _draw_crop(src.crop_h, src.crop_w, cfg, rng)
             regions.append(CropRegion(src.top + r.top, src.left + r.left, r.crop_h, r.crop_w))
         draws += [_draw_transforms(cfg, rng), _draw_transforms(cfg, rng)]
-    b = len(images)
-    cropped = _crop_resize([img.pixels for img in images], np.repeat(np.arange(b), 2),
-                          regions, cfg.out_size)
+    cropped = _crop_resize(images, np.repeat(np.arange(b), 2), regions, cfg.out_size)
     views = _to_uint8(_photometric(cropped, draws))
     return views[0::2], views[1::2]
 
 
 def center_suppressed_crop(
-    img: Image, cfg: AugmentConfig, rng: np.random.Generator
-) -> tuple[CropRegion, Image]:
-    """Random crop with Beta-placed center (see `_draw_crop`), resized to
-    out_size x out_size."""
-    region = _draw_crop(img.h, img.w, cfg, rng)
-    return region, Image(_crop_resize([img.pixels], [0], [region], cfg.out_size)[0])
+    img: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
+) -> tuple[CropRegion, np.ndarray]:
+    """Random crop of an (h, w, 3) image with Beta-placed center (see
+    `_draw_crop`), resized to out_size x out_size."""
+    region = _draw_crop(img.shape[0], img.shape[1], cfg, rng)
+    return region, _crop_resize(img[None], [0], [region], cfg.out_size)[0]
 
 
-def apply_transforms(img: Image, cfg: AugmentConfig, rng: np.random.Generator) -> Image:
-    """Color jitter -> random grayscale -> Gaussian blur -> horizontal flip."""
-    return Image(_to_uint8(_photometric(img.pixels[None], [_draw_transforms(cfg, rng)]))[0])
+def apply_transforms(img: np.ndarray, cfg: AugmentConfig,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Color jitter -> random grayscale -> Gaussian blur -> horizontal flip
+    of an (h, w, 3) uint8 image."""
+    return _to_uint8(_photometric(img[None], [_draw_transforms(cfg, rng)]))[0]
 
 
-def augment_pair(img: Image, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[Image, Image]:
-    """Two views of one image: `augment_batch` with a batch of one.
-    All random draws come from `rng`, so equal (seed, image) gives equal
-    views.
+def augment_pair(img: np.ndarray, cfg: AugmentConfig,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two views of one (h, w, 3) image: `augment_batch` with a batch of
+    one.  All random draws come from `rng`, so equal (seed, image) gives
+    equal views.
     """
-    v1, v2 = augment_batch([img], cfg, [rng])
-    return Image(v1[0]), Image(v2[0])
+    v1, v2 = augment_batch(img[None], cfg, [rng])
+    return v1[0], v2[0]
 
 
 def to_unit_float_batch(views: np.ndarray) -> np.ndarray:
-    """uint8 views (V, h, w, 3) to contiguous (V, 3, h, w) float64 in [0, 1]."""
+    """Views (V, h, w, 3), uint8 or unrounded float pixel values, to
+    contiguous (V, 3, h, w) float64 scaled by 1/255: the encoder's input."""
     x = np.ascontiguousarray(views.transpose(0, 3, 1, 2)).astype(np.float64)
     x /= 255.0
     return x
 
 
-def to_unit_float(img: Image) -> np.ndarray:
-    """Image to CHW float64 in [0, 1], the encoder's input layout."""
-    return to_unit_float_batch(img.pixels[None])[0]
-
-
-def eval_view(img: Image, out_size: int) -> np.ndarray:
-    """Deterministic evaluation input: full image resized, no randomness."""
-    if img.h == out_size and img.w == out_size:
-        return to_unit_float(img)
-    resized = resize_bilinear(img.pixels.astype(np.float64), out_size, out_size)
-    return resized.transpose(2, 0, 1) / 255.0
+def eval_view(images: np.ndarray, out_size: int) -> np.ndarray:
+    """Deterministic evaluation inputs (B, 3, S, S), S = out_size, of a
+    (B, h, w, 3) uint8 batch: each full image resized, no randomness."""
+    if images.shape[1:3] != (out_size, out_size):
+        images = resize_bilinear(images, out_size, out_size)
+    return to_unit_float_batch(images)

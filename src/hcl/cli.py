@@ -106,7 +106,7 @@ def _encode_view_pairs(fw, records, cfg: ExperimentConfig):
     for lo in range(0, len(records), EVAL_BATCH):
         chunk = records[lo:lo + EVAL_BATCH]
         rngs = [substream(cfg.seed, "metrics-views", lo + i) for i in range(len(chunk))]
-        va, vb = augment_batch([r.image for r in chunk], aug, rngs)
+        va, vb = augment_batch(chunk["image"], aug, rngs)
         fa.append(embed(enc, to_unit_float_batch(va)))
         fb.append(embed(enc, to_unit_float_batch(vb)))
     return np.concatenate(fa), np.concatenate(fb)

@@ -1,7 +1,9 @@
 """Dataset I/O in the CIFAR-10 binary layout, plus a synthetic generator.
 
 Records are 3073 bytes: one label byte followed by 3072 pixel bytes
-(1024 R, 1024 G, 1024 B, each a row-major 32x32 plane).  The synthetic
+(1024 R, 1024 G, 1024 B, each a row-major 32x32 plane).  In memory a
+dataset is one 1-D numpy array of dtype `RECORD`: a uint8 ``label`` and
+a uint8 ``image`` of shape (32, 32, 3), row-major HWC.  The synthetic
 generator emits the same layout so everything downstream is agnostic to
 where the file came from.
 """
@@ -9,7 +11,6 @@ where the file came from.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,66 +19,40 @@ from .rng import substream
 RECORD_BYTES = 3073
 IMAGE_SIDE = 32
 NUM_LABELS = 10
+RECORD = np.dtype([("label", np.uint8), ("image", np.uint8, (IMAGE_SIDE, IMAGE_SIDE, 3))])
 
 
-@dataclass
-class Image:
-    """Raw uint8 pixels, row-major HWC, 3 channels."""
-
-    pixels: np.ndarray  # (h, w, 3) uint8
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if px.ndim != 3 or px.shape[2] != 3 or px.dtype != np.uint8:
-            raise ValueError(f"Image: expected (h, w, 3) uint8 pixels, got {px.shape} {px.dtype}")
-        if px.shape[0] < 4 or px.shape[1] < 4:
-            raise ValueError(f"Image: extents must be >= 4 pixels, got {px.shape[:2]}")
-        self.pixels = np.ascontiguousarray(px)
-
-    @property
-    def h(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def w(self) -> int:
-        return self.pixels.shape[1]
+def _check_labels(labels: np.ndarray, where) -> None:
+    bad = np.flatnonzero(labels >= NUM_LABELS)
+    if bad.size:
+        raise ValueError(f"{where}: record {bad[0]} label {labels[bad[0]]} "
+                         f"out of range [0, {NUM_LABELS})")
 
 
-@dataclass
-class DatasetRecord:
-    label: int
-    image: Image
-
-
-def load_cifar_batch(path: str | os.PathLike) -> list[DatasetRecord]:
-    """Parse a CIFAR-10 binary batch file into records."""
+def load_cifar_batch(path: str | os.PathLike) -> np.ndarray:
+    """Parse a CIFAR-10 binary batch file into a `RECORD` array."""
     raw = np.fromfile(os.fspath(path), dtype=np.uint8)
     if raw.size == 0 or raw.size % RECORD_BYTES != 0:
         raise ValueError(
             f"{path}: size {raw.size} is not a positive multiple of {RECORD_BYTES} bytes"
         )
-    records = []
-    for chunk in raw.reshape(-1, RECORD_BYTES):
-        label = int(chunk[0])
-        if label >= NUM_LABELS:
-            raise ValueError(f"{path}: label {label} out of range [0, {NUM_LABELS})")
-        planes = chunk[1:].reshape(3, IMAGE_SIDE, IMAGE_SIDE)
-        records.append(DatasetRecord(label, Image(planes.transpose(1, 2, 0).copy())))
+    raw = raw.reshape(-1, RECORD_BYTES)
+    _check_labels(raw[:, 0], path)
+    records = np.empty(len(raw), dtype=RECORD)
+    records["label"] = raw[:, 0]
+    records["image"] = raw[:, 1:].reshape(-1, 3, IMAGE_SIDE, IMAGE_SIDE).transpose(0, 2, 3, 1)
     return records
 
 
-def save_cifar_batch(records: list[DatasetRecord], path: str | os.PathLike) -> None:
-    """Write records in the CIFAR-10 binary layout."""
+def save_cifar_batch(records: np.ndarray, path: str | os.PathLike) -> None:
+    """Write a `RECORD` array in the CIFAR-10 binary layout."""
+    if records.dtype != RECORD:
+        raise ValueError(f"save_cifar_batch: records must have dtype RECORD, labels with "
+                         f"32x32x3 uint8 images; got {records.dtype}")
+    _check_labels(records["label"], "save_cifar_batch")
     out = np.empty((len(records), RECORD_BYTES), dtype=np.uint8)
-    for i, rec in enumerate(records):
-        if rec.image.pixels.shape != (IMAGE_SIDE, IMAGE_SIDE, 3):
-            raise ValueError(
-                f"save_cifar_batch: record {i} is {rec.image.pixels.shape[:2]}, need 32x32"
-            )
-        if not 0 <= rec.label < NUM_LABELS:
-            raise ValueError(f"save_cifar_batch: record {i} label {rec.label} out of range")
-        out[i, 0] = rec.label
-        out[i, 1:] = rec.image.pixels.transpose(2, 0, 1).reshape(-1)
+    out[:, 0] = records["label"]
+    out[:, 1:] = records["image"].transpose(0, 3, 1, 2).reshape(len(records), -1)
     out.tofile(os.fspath(path))
 
 
@@ -96,8 +71,9 @@ def hsv_to_rgb(hue, s, v) -> np.ndarray:
                      np.choose(i, (p, p, t, v, v, q))], axis=-1)
 
 
-def make_synthetic_records(classes: int, per_class: int, seed: int) -> list[DatasetRecord]:
-    """Class-coded colored patterns, linearly separable in pixel space.
+def make_synthetic_records(classes: int, per_class: int, seed: int) -> np.ndarray:
+    """A `RECORD` array of class-coded colored patterns, linearly separable
+    in pixel space, ordered by class.
 
     Each class gets a distinct base hue filling the image plus a
     complementary-colored blob at a class-specific position; mild
@@ -111,7 +87,8 @@ def make_synthetic_records(classes: int, per_class: int, seed: int) -> list[Data
 
     side = IMAGE_SIDE
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
-    records = []
+    records = np.empty(classes * per_class, dtype=RECORD)
+    records["label"] = np.repeat(np.arange(classes), per_class)
     for c in range(classes):
         base = hsv_to_rgb(c / classes, 0.75, 0.8) * 255.0
         blob = hsv_to_rgb(c / classes + 0.5, 0.9, 1.0) * 255.0
@@ -123,8 +100,7 @@ def make_synthetic_records(classes: int, per_class: int, seed: int) -> list[Data
         for i in range(per_class):
             rng = substream(seed, "synthetic", c, i)
             noisy = canvas + rng.normal(0.0, 8.0, canvas.shape)
-            pixels = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-            records.append(DatasetRecord(c, Image(pixels)))
+            records["image"][c * per_class + i] = np.clip(np.rint(noisy), 0, 255)
     return records
 
 

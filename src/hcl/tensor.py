@@ -128,7 +128,7 @@ def _as_array(data) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, kind: str, role: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(kind, role)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .augment import AugmentConfig, augment_batch, eval_view, to_unit_float_batch
 from .checkpoint import load_checkpoint, load_named, save_checkpoint
 from .config import ExperimentConfig, config_from_dict
-from .data import DatasetRecord
 from .frameworks import build_framework, embed, _FrameworkBase
 from .rng import substream
 from .tensor import NonFiniteError, Parameter
@@ -80,7 +79,7 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + float(np.cos(np.pi * step / total_steps)))
 
 
-def build_batch(records: list[DatasetRecord], indices: np.ndarray,
+def build_batch(records: np.ndarray, indices: np.ndarray,
                 aug_cfg: AugmentConfig, seed: int,
                 epoch: int) -> tuple[np.ndarray, np.ndarray]:
     """Augmented view batches (B, 3, S, S) for the given dataset indices.
@@ -89,7 +88,7 @@ def build_batch(records: list[DatasetRecord], indices: np.ndarray,
     a sample's views do not depend on the batch or its position in it.
     """
     rngs = [substream(seed, "augment", epoch, int(i)) for i in indices]
-    v1, v2 = augment_batch([records[i].image for i in indices], aug_cfg, rngs)
+    v1, v2 = augment_batch(records["image"][indices], aug_cfg, rngs)
     return to_unit_float_batch(v1), to_unit_float_batch(v2)
 
 
@@ -172,7 +171,7 @@ def _truncate_metrics(path: Path, global_step: int) -> None:
     path.write_text("".join(lines[:1] + rows), encoding="utf-8")
 
 
-def pretrain(cfg: ExperimentConfig, records: list[DatasetRecord],
+def pretrain(cfg: ExperimentConfig, records: np.ndarray,
              out_dir, resume=None, log=None) -> TrainResult:
     """Run the configured pretraining and return the trained framework.
 
@@ -286,17 +285,13 @@ def load_pretrained(ckpt_path) -> tuple[_FrameworkBase, ExperimentConfig]:
     return fw, cfg
 
 
-def extract_features(fw: _FrameworkBase, records: list[DatasetRecord],
+def extract_features(fw: _FrameworkBase, records: np.ndarray,
                      out_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic features and labels for probing and diagnostics.
 
     Images are resized (never randomly cropped), encoded, and
     L2-normalized.  Weights are read, not written.
     """
-    enc = fw.feature_encoder
-    feats = []
-    labels = np.array([r.label for r in records], dtype=np.int64)
-    for lo in range(0, len(records), EVAL_BATCH):
-        chunk = records[lo:lo + EVAL_BATCH]
-        feats.append(embed(enc, np.stack([eval_view(r.image, out_size) for r in chunk])))
-    return np.concatenate(feats, axis=0), labels
+    feats = [embed(fw.feature_encoder, eval_view(records["image"][lo:lo + EVAL_BATCH], out_size))
+             for lo in range(0, len(records), EVAL_BATCH)]
+    return np.concatenate(feats, axis=0), records["label"].astype(np.int64)

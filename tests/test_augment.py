@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hcl.augment
 from hcl.augment import (
     AugmentConfig,
+    _draw_crop,
     _draw_transforms,
     _photometric,
     CropRegion,
@@ -18,9 +21,8 @@ from hcl.augment import (
     eval_view,
     resize_bilinear,
     sample_beta,
-    to_unit_float,
+    to_unit_float_batch,
 )
-from hcl.data import Image
 from hcl.rng import substream
 
 # Two-sided tail mass P(X<0.1 or X>0.9) of Beta(0.6, 0.6); quadrature of
@@ -30,7 +32,7 @@ BETA06_TAIL_01 = 0.3520945086920757
 
 
 def _rand_image(rng, h=32, w=32):
-    return Image(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    return rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
 
 
 @pytest.fixture
@@ -44,14 +46,14 @@ class TestCenterCrop:
         rng = np.random.default_rng(0)
         img = _rand_image(rng)
         out = center_crop(img, 0.5)
-        assert (out.h, out.w) == (16, 16)
-        assert np.array_equal(out.pixels, img.pixels[8:24, 8:24])
+        assert out.shape == (16, 16, 3)
+        assert np.array_equal(out, img[8:24, 8:24])
 
     def test_p_one_is_identity(self):
         rng = np.random.default_rng(1)
         img = _rand_image(rng)
         out = center_crop(img, 1.0)
-        assert np.array_equal(out.pixels, img.pixels)
+        assert np.array_equal(out, img)
 
     def test_center_preserved_within_one_pixel(self):
         for h, w in ((32, 32), (31, 17), (9, 40)):
@@ -94,6 +96,16 @@ class TestSampleBeta:
         assert draws.var() > uniform.var()
         assert abs(draws.var() - 1 / 8.8) < 0.01
 
+    @pytest.mark.parametrize("alpha", [1e-7, 1e-12, 1e-300, 5e-324])
+    def test_tiny_alpha_draws_terminate_near_zero_or_one(self, alpha):
+        # u ** (1 / alpha) underflows to 0 for every u < 1 here; Beta(a, a)
+        # tends to a fair coin on {0, 1} as a -> 0.
+        rng = np.random.default_rng(11)
+        draws = np.array([sample_beta(alpha, rng) for _ in range(2000)])
+        assert ((draws >= 0.0) & (draws <= 1.0)).all()
+        assert np.mean((draws < 1e-3) | (draws > 1 - 1e-3)) > 0.99
+        assert abs(np.mean(draws > 0.5) - 0.5) < 0.05
+
     def test_rejects_alpha_outside_open_interval(self):
         rng = np.random.default_rng(10)
         for bad in (0.0, 1.0, -0.5, 2.0):
@@ -122,7 +134,7 @@ class TestCenterSuppressedCrop:
         for seed in range(5):
             region, out = center_suppressed_crop(img, cfg, np.random.default_rng(seed))
             assert (region.top, region.left, region.crop_h, region.crop_w) == (0, 0, 32, 32)
-            assert out.pixels.shape == (16, 16, 3)
+            assert out.shape == (16, 16, 3)
 
     def test_region_always_inside_image(self):
         cfg = AugmentConfig(out_size=8)
@@ -133,7 +145,7 @@ class TestCenterSuppressedCrop:
             assert 0 <= region.top and region.top + region.crop_h <= 24
             assert 0 <= region.left and region.left + region.crop_w <= 40
             assert region.crop_h >= 1 and region.crop_w >= 1
-            assert out.pixels.shape == (8, 8, 3)
+            assert out.shape == (8, 8, 3)
 
     def test_beta_centers_sit_farther_out_than_uniform(self, square_crops):
         # Monte-Carlo comparison against a uniform-placement oracle at
@@ -172,16 +184,16 @@ class TestAugmentPair:
         )
         img = _rand_image(np.random.default_rng(18))
         x1, x2 = augment_pair(img, cfg, np.random.default_rng(19))
-        assert np.array_equal(x1.pixels, img.pixels)
-        assert np.array_equal(x2.pixels, img.pixels)
+        assert np.array_equal(x1, img)
+        assert np.array_equal(x2, img)
 
     def test_same_seed_same_views(self):
         cfg = AugmentConfig(out_size=16)
         img = _rand_image(np.random.default_rng(20))
         a1, a2 = augment_pair(img, cfg, np.random.default_rng(99))
         b1, b2 = augment_pair(img, cfg, np.random.default_rng(99))
-        assert np.array_equal(a1.pixels, b1.pixels)
-        assert np.array_equal(a2.pixels, b2.pixels)
+        assert np.array_equal(a1, b1)
+        assert np.array_equal(a2, b2)
 
     def test_view1_source_confined_to_central_half(self):
         # With p=0.5 the view-1 source is rows/cols 8..23 of the
@@ -201,8 +213,8 @@ class TestAugmentPair:
         cfg = AugmentConfig(out_size=20)
         img = _rand_image(np.random.default_rng(23))
         x1, x2 = augment_pair(img, cfg, np.random.default_rng(24))
-        assert x1.pixels.shape == (20, 20, 3)
-        assert x2.pixels.shape == (20, 20, 3)
+        assert x1.shape == (20, 20, 3)
+        assert x2.shape == (20, 20, 3)
 
     def test_config_validation_messages(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -224,7 +236,7 @@ class TestPhotometric:
         )
         img = _rand_image(np.random.default_rng(25))
         out = apply_transforms(img, cfg, np.random.default_rng(26))
-        px = out.pixels.astype(np.int64)
+        px = out.astype(np.int64)
         assert np.abs(px[:, :, 0] - px[:, :, 1]).max() <= 1
         assert np.abs(px[:, :, 1] - px[:, :, 2]).max() <= 1
 
@@ -234,7 +246,7 @@ class TestPhotometric:
         )
         img = _rand_image(np.random.default_rng(27))
         out = apply_transforms(img, cfg, np.random.default_rng(28))
-        assert np.array_equal(out.pixels, img.pixels[:, ::-1])
+        assert np.array_equal(out, img[:, ::-1])
 
     def test_forced_blur_reduces_variance(self):
         cfg = AugmentConfig(
@@ -242,23 +254,27 @@ class TestPhotometric:
         )
         img = _rand_image(np.random.default_rng(29))
         out = apply_transforms(img, cfg, np.random.default_rng(30))
-        assert out.pixels.astype(float).var() < img.pixels.astype(float).var()
+        assert out.astype(float).var() < img.astype(float).var()
 
 
 class TestEncoderViews:
     def test_to_unit_float_layout(self):
         img = _rand_image(np.random.default_rng(31), h=8, w=6)
-        x = to_unit_float(img)
+        x = to_unit_float_batch(img[None])[0]
         assert x.shape == (3, 8, 6)
         assert x.min() >= 0.0 and x.max() <= 1.0
-        np.testing.assert_allclose(x[1, 2, 3], img.pixels[2, 3, 1] / 255.0)
+        np.testing.assert_allclose(x[1, 2, 3], img[2, 3, 1] / 255.0)
 
     def test_eval_view_passthrough_and_resize(self):
-        img = _rand_image(np.random.default_rng(32), h=16, w=16)
-        same = eval_view(img, 16)
-        np.testing.assert_array_equal(same, to_unit_float(img))
-        smaller = eval_view(img, 8)
-        assert smaller.shape == (3, 8, 8)
+        rng = np.random.default_rng(32)
+        images = np.stack([_rand_image(rng, h=16, w=16) for _ in range(3)])
+        same = eval_view(images, 16)
+        np.testing.assert_array_equal(same, to_unit_float_batch(images))
+        smaller = eval_view(images, 8)
+        assert smaller.shape == (3, 3, 8, 8)
+        for view, img in zip(smaller, images):
+            ref = _ref_resize_bilinear(img, 8, 8).transpose(2, 0, 1) / 255.0
+            assert np.array_equal(view, ref)
 
 
 # ---- the per-image pipeline that the batched one replaced, as an oracle ----
@@ -267,9 +283,10 @@ _GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 
 def _ref_center_crop(img, p):
-    ch, cw = int(np.floor(p * img.h)), int(np.floor(p * img.w))
-    top, left = (img.h - ch) // 2, (img.w - cw) // 2
-    return Image(img.pixels[top : top + ch, left : left + cw].copy())
+    h, w = img.shape[:2]
+    ch, cw = int(np.floor(p * h)), int(np.floor(p * w))
+    top, left = (h - ch) // 2, (w - cw) // 2
+    return img[top : top + ch, left : left + cw].copy()
 
 
 def _ref_resize_bilinear(pixels, out_h, out_w):
@@ -291,7 +308,7 @@ def _ref_resize_bilinear(pixels, out_h, out_w):
 
 
 def _ref_center_suppressed_crop(img, cfg, rng):
-    h, w = img.h, img.w
+    h, w = img.shape[:2]
     area = float(h * w)
     ch = cw = 0
     for _ in range(10):
@@ -314,11 +331,11 @@ def _ref_center_suppressed_crop(img, cfg, rng):
         left = int(round(v * (w - cw)))
         region = CropRegion(top, left, ch, cw)
 
-    patch = img.pixels[
+    patch = img[
         region.top : region.top + region.crop_h, region.left : region.left + region.crop_w
     ]
     resized = _ref_resize_bilinear(patch.astype(np.float64) / 255.0, cfg.out_size, cfg.out_size)
-    out = Image(np.clip(np.rint(resized * 255.0), 0, 255).astype(np.uint8))
+    out = np.clip(np.rint(resized * 255.0), 0, 255).astype(np.uint8)
     return region, out
 
 
@@ -396,7 +413,7 @@ def _ref_color_jitter(x, s, rng):
 
 
 def _ref_transform_floats(img, cfg, rng):
-    x = img.pixels.astype(np.float64) / 255.0
+    x = img.astype(np.float64) / 255.0
     x = _ref_color_jitter(x, cfg.jitter_strength, rng)
     if rng.random() < cfg.grayscale_prob:
         x = _ref_grayscale(x)
@@ -409,7 +426,7 @@ def _ref_transform_floats(img, cfg, rng):
 
 def _ref_apply_transforms(img, cfg, rng):
     x = _ref_transform_floats(img, cfg, rng)
-    return Image(np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8))
+    return np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
 
 
 def _ref_augment_pair(img, cfg, rng):
@@ -426,8 +443,8 @@ def _assert_batch_matches_reference(images, cfg, seed):
     assert v1.shape == v2.shape == (len(images), cfg.out_size, cfg.out_size, 3)
     for i, img in enumerate(images):
         r1, r2 = _ref_augment_pair(img, cfg, substream(seed, "augment", 0, i))
-        assert np.array_equal(v1[i], r1.pixels), (seed, i, "view 1")
-        assert np.array_equal(v2[i], r2.pixels), (seed, i, "view 2")
+        assert np.array_equal(v1[i], r1), (seed, i, "view 1")
+        assert np.array_equal(v2[i], r2), (seed, i, "view 2")
 
 
 class TestBatchedPipelineOracle:
@@ -440,7 +457,7 @@ class TestBatchedPipelineOracle:
         cfg = AugmentConfig(out_size=out_size, center_crop_both=center_crop_both)
         for seed in range(3 if batch < 64 else 1):
             rng = np.random.default_rng(1000 * batch + out_size + seed)
-            images = [_rand_image(rng) for _ in range(batch)]
+            images = np.stack([_rand_image(rng) for _ in range(batch)])
             _assert_batch_matches_reference(images, cfg, seed + 100 * out_size)
 
     @pytest.mark.parametrize("overrides", [
@@ -458,13 +475,14 @@ class TestBatchedPipelineOracle:
         cfg = AugmentConfig(out_size=16, **overrides)
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            images = [_rand_image(rng) for _ in range(5)]
+            images = np.stack([_rand_image(rng) for _ in range(5)])
             _assert_batch_matches_reference(images, cfg, seed)
 
-    def test_mixed_image_sizes(self):
+    @pytest.mark.parametrize("h, w", [(24, 40), (9, 17), (40, 12)])
+    def test_non_square_images(self, h, w):
         cfg = AugmentConfig(out_size=8, blur_prob=1.0)
         rng = np.random.default_rng(40)
-        images = [_rand_image(rng, h, w) for h, w in ((32, 32), (24, 40), (9, 17), (40, 12))]
+        images = np.stack([_rand_image(rng, h, w) for _ in range(4)])
         for seed in range(4):
             _assert_batch_matches_reference(images, cfg, seed)
 
@@ -475,9 +493,9 @@ class TestBatchedPipelineOracle:
         # uint8 rounding hides last-bit differences; the unit floats do not.
         cfg = AugmentConfig(**overrides)
         rng = np.random.default_rng(44)
-        images = [_rand_image(rng, 16, 16) for _ in range(24)]
+        images = np.stack([_rand_image(rng, 16, 16) for _ in range(24)])
         draws = [_draw_transforms(cfg, substream(7, "t", i)) for i in range(24)]
-        got = _photometric(np.stack([im.pixels for im in images]), draws)
+        got = _photometric(images, draws)
         for i, img in enumerate(images):
             ref = _ref_transform_floats(img, cfg, substream(7, "t", i))
             assert np.array_equal(got[i], ref), i
@@ -499,4 +517,75 @@ class TestBatchedPipelineOracle:
     def test_rejects_generator_count_mismatch(self):
         img = _rand_image(np.random.default_rng(43))
         with pytest.raises(ValueError, match="generators"):
-            augment_batch([img, img], AugmentConfig(), [np.random.default_rng(0)])
+            augment_batch(np.stack([img, img]), AugmentConfig(), [np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("images", [
+        np.zeros((2, 8, 8, 3), dtype=np.float64),
+        np.zeros((8, 8, 3), dtype=np.uint8),
+        np.zeros((2, 8, 8, 4), dtype=np.uint8),
+    ], ids=["float", "unbatched", "four-channel"])
+    def test_rejects_malformed_images(self, images):
+        rngs = [np.random.default_rng(i) for i in range(len(images))]
+        with pytest.raises(ValueError, match=r"expected \(B, h, w, 3\) uint8"):
+            augment_batch(images, AugmentConfig(), rngs)
+
+
+# ---- crop geometry as properties -------------------------------------------
+
+
+@st.composite
+def _crop_setting(draw):
+    scale_min = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return {
+        "h": draw(st.integers(1, 64)),
+        "w": draw(st.integers(1, 64)),
+        "cfg": AugmentConfig(
+            p=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            scale_min=scale_min,
+            scale_max=draw(st.floats(scale_min, 1.0)),
+        ),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _inside(r, h, w):
+    return (r.crop_h >= 1 and r.crop_w >= 1 and 0 <= r.top and 0 <= r.left
+            and r.top + r.crop_h <= h and r.left + r.crop_w <= w)
+
+
+class TestCropGeometryProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(setting=_crop_setting())
+    def test_drawn_crop_is_inside_with_area_in_scale_range(self, setting):
+        h, w, cfg = setting["h"], setting["w"], setting["cfg"]
+        cfg.validate()
+        rng = np.random.default_rng(setting["seed"])
+        side = min(h, w)
+        fallback = CropRegion((h - side) // 2, (w - side) // 2, side, side)
+        for _ in range(5):
+            r = _draw_crop(h, w, cfg, rng)
+            assert _inside(r, h, w), r
+            # |round(a) * round(b) - a * b| <= (round(a) + round(b)) / 2 + 0.75
+            slack = (r.crop_h + r.crop_w) / 2 + 0.75
+            area = r.crop_h * r.crop_w
+            in_range = (cfg.scale_min * h * w - slack <= area
+                        <= cfg.scale_max * h * w + slack)
+            assert in_range or r == fallback, (r, h, w)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(setting=_crop_setting())
+    def test_view1_crop_stays_inside_the_centre_region(self, setting):
+        h, w, cfg = setting["h"], setting["w"], setting["cfg"]
+        if int(np.floor(cfg.p * h)) < 1 or int(np.floor(cfg.p * w)) < 1:
+            with pytest.raises(ValueError, match="empty"):
+                center_crop_region(h, w, cfg.p)
+            return
+        inner = center_crop_region(h, w, cfg.p)
+        assert _inside(inner, h, w)
+        rng = np.random.default_rng(setting["seed"])
+        for _ in range(5):
+            r = _draw_crop(inner.crop_h, inner.crop_w, cfg, rng)
+            top, left = inner.top + r.top, inner.left + r.left
+            assert inner.top <= top and top + r.crop_h <= inner.top + inner.crop_h
+            assert inner.left <= left and left + r.crop_w <= inner.left + inner.crop_w

@@ -1,14 +1,15 @@
 """Dataset I/O layout, synthetic generator, and separability oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hcl.data import (
     IMAGE_SIDE,
     NUM_LABELS,
+    RECORD,
     RECORD_BYTES,
-    DatasetRecord,
-    Image,
     generate_synthetic,
     hsv_to_rgb,
     load_cifar_batch,
@@ -50,36 +51,23 @@ class TestHsvToRgb:
             assert np.array_equal(row, _scalar_hue_to_rgb(hue, sat, val))
 
 
-class TestImage:
-    def test_accepts_hwc_uint8(self):
-        img = Image(np.zeros((8, 6, 3), dtype=np.uint8))
-        assert (img.h, img.w) == (8, 6)
-
-    def test_rejects_wrong_dtype(self):
-        with pytest.raises(ValueError, match="uint8"):
-            Image(np.zeros((8, 8, 3), dtype=np.float64))
-
-    def test_rejects_tiny_extent(self):
-        with pytest.raises(ValueError, match=">= 4"):
-            Image(np.zeros((3, 8, 3), dtype=np.uint8))
-
-
 class TestCifarLayout:
     def test_single_record_label_seven(self, tmp_path):
         p = tmp_path / "one.bin"
         _write_record(p, 7, np.zeros((3, IMAGE_SIDE, IMAGE_SIDE)))
         recs = load_cifar_batch(p)
+        assert recs.dtype == RECORD
         assert len(recs) == 1
-        assert recs[0].label == 7
+        assert recs["label"][0] == 7
 
     def test_plane_order_is_rgb(self, tmp_path):
         planes = np.empty((3, IMAGE_SIDE, IMAGE_SIDE), dtype=np.uint8)
         planes[0], planes[1], planes[2] = 10, 20, 30
         p = tmp_path / "rgb.bin"
         _write_record(p, 0, planes)
-        img = load_cifar_batch(p)[0].image
-        assert img.pixels.shape == (IMAGE_SIDE, IMAGE_SIDE, 3)
-        assert (img.pixels[5, 9] == np.array([10, 20, 30])).all()
+        img = load_cifar_batch(p)["image"][0]
+        assert img.shape == (IMAGE_SIDE, IMAGE_SIDE, 3)
+        assert (img[5, 9] == np.array([10, 20, 30])).all()
 
     def test_two_records(self, tmp_path):
         buf = np.zeros(2 * RECORD_BYTES, dtype=np.uint8)
@@ -88,7 +76,7 @@ class TestCifarLayout:
         p = tmp_path / "two.bin"
         buf.tofile(p)
         recs = load_cifar_batch(p)
-        assert [r.label for r in recs] == [1, 2]
+        assert recs["label"].tolist() == [1, 2]
 
     def test_truncated_file_errors(self, tmp_path):
         p = tmp_path / "trunc.bin"
@@ -102,27 +90,26 @@ class TestCifarLayout:
         with pytest.raises(ValueError, match="label"):
             load_cifar_batch(p)
 
+    def test_save_rejects_label_out_of_range(self, tmp_path):
+        recs = np.zeros(3, dtype=RECORD)
+        recs["label"][2] = NUM_LABELS
+        with pytest.raises(ValueError, match="record 2 label 10 out of range"):
+            save_cifar_batch(recs, tmp_path / "x.bin")
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        recs = [
-            DatasetRecord(
-                int(rng.integers(NUM_LABELS)),
-                Image(rng.integers(0, 256, (IMAGE_SIDE, IMAGE_SIDE, 3), dtype=np.uint8)),
-            )
-            for _ in range(5)
-        ]
+        recs = np.empty(5, dtype=RECORD)
+        recs["label"] = rng.integers(NUM_LABELS, size=5)
+        recs["image"] = rng.integers(0, 256, (5, IMAGE_SIDE, IMAGE_SIDE, 3))
         p = tmp_path / "rt.bin"
         save_cifar_batch(recs, p)
         back = load_cifar_batch(p)
-        assert len(back) == 5
-        for a, b in zip(recs, back):
-            assert a.label == b.label
-            assert np.array_equal(a.image.pixels, b.image.pixels)
+        assert np.array_equal(back, recs)
 
     def test_save_rejects_non_32x32(self, tmp_path):
-        rec = DatasetRecord(0, Image(np.zeros((16, 16, 3), dtype=np.uint8)))
+        small = np.zeros(1, dtype=[("label", np.uint8), ("image", np.uint8, (16, 16, 3))])
         with pytest.raises(ValueError, match="32x32"):
-            save_cifar_batch([rec], tmp_path / "x.bin")
+            save_cifar_batch(small, tmp_path / "x.bin")
 
 
 class TestSyntheticGenerator:
@@ -148,7 +135,7 @@ class TestSyntheticGenerator:
         p = tmp_path / "synth.bin"
         generate_synthetic(p, classes=4, per_class=3, seed=1)
         recs = load_cifar_batch(p)
-        assert [r.label for r in recs] == [0] * 3 + [1] * 3 + [2] * 3 + [3] * 3
+        assert recs["label"].tolist() == [0] * 3 + [1] * 3 + [2] * 3 + [3] * 3
 
     def test_rejects_too_many_classes(self):
         with pytest.raises(ValueError, match="classes"):
@@ -157,10 +144,28 @@ class TestSyntheticGenerator:
     def test_pixel_space_linear_separability(self):
         # Least-squares one-hot regression as the linear-classifier oracle.
         recs = make_synthetic_records(4, 100, seed=0)
-        x = np.stack([r.image.pixels.reshape(-1) / 255.0 for r in recs])
+        x = recs["image"].reshape(len(recs), -1) / 255.0
         x = np.concatenate([x, np.ones((len(x), 1))], axis=1)
-        y = np.array([r.label for r in recs])
+        y = recs["label"]
         onehot = np.eye(4)[y]
         w, *_ = np.linalg.lstsq(x, onehot, rcond=None)
         acc = float(np.mean((x @ w).argmax(axis=1) == y))
         assert acc >= 0.95
+
+
+class TestSyntheticBytes:
+    """The data files every frozen run and benchmark workload trains on.
+
+    No BLAS call makes them, so the digests hold at any thread count.
+    """
+
+    @pytest.mark.parametrize("classes, per_class, digest", [
+        (10, 20, "215a4a60a7807a5e4bcfd619d96fbf96db59299e3151287fa82212d9a75377e3"),
+        (4, 80, "a238638a72d1f24801482001b2972deaaee8aa9f68e1a0ac55373ad13e8f2500"),
+    ])
+    def test_file_digest_and_round_trip(self, tmp_path, classes, per_class, digest):
+        p, q = tmp_path / "synth.bin", tmp_path / "copy.bin"
+        generate_synthetic(p, classes, per_class, 1)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+        save_cifar_batch(load_cifar_batch(p), q)
+        assert q.read_bytes() == p.read_bytes()

@@ -411,7 +411,7 @@ class TestFeatureExtraction:
         f1, y1 = extract_features(res.framework, records, cfg.augment.out_size)
         f2, y2 = extract_features(res.framework, records, cfg.augment.out_size)
         assert np.array_equal(f1, f2)
-        assert np.array_equal(y1, [r.label for r in records])
+        assert np.array_equal(y1, records["label"])
         np.testing.assert_allclose(np.linalg.norm(f1, axis=1), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("framework", FRAMEWORKS)
