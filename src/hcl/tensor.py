@@ -21,8 +21,8 @@ stop-gradient targets, feature extraction) use it, so each op's working
 buffers (conv2d's `colsT` and padded input, earlier activations) are
 freed as soon as the next op has read them rather than when the pass
 returns; `conv_relu_pool` keeps nothing, freeing its `colsT` right after
-the GEMM and building no relu mask.  `backward()` on such an output
-raises the empty-tape error.
+the GEMM, as it does under the tape, and building no relu mask.
+`backward()` on such an output raises the empty-tape error.
 
 Finiteness invariant: every op builds its output through `_make`, which
 rejects NaN or Inf first in each parent that is a leaf (`_kind` "leaf",
@@ -39,13 +39,18 @@ shape mismatch, l2_normalize's zero row, scalar_multiply's non-finite
 scalar) wins over the leaf's `NonFiniteError`, and numpy may emit a
 RuntimeWarning before that error.
 
-Memory: a training step's live set peaks at the end of forward, when
-every activation and saved im2col matrix is held (per encoder stage,
-`conv_relu_pool` holds its `colsT`, a 1-byte relu mask and its pooled
-output, and no conv or relu output); backward then frees
-them layer by layer as it walks back, so it adds little on top of that
-peak and leaves only the parameters' gradients and whatever the caller
-still holds.  Importing this module on glibc raises malloc's mmap and
+Memory: at the end of forward a training step holds every activation
+and saved buffer; per encoder stage, `conv_relu_pool` holds a 1-byte
+relu mask and its pooled output, and no `colsT`, conv or relu output.
+Its backward rebuilds `colsT` from the stage input, which the node holds
+as its parent, and frees it before col2im.  That re-read rests on the
+rule every op's backward already relies on when it reads a parent's
+`data`: no op output is mutated after creation, and Parameters change
+only in the optimizer step, after backward.  Backward frees the rest
+layer by layer as it walks back, so the step peaks in backward at what
+forward held plus one stage's rebuilt `colsT` and gradient buffers, and
+leaves only the parameters' gradients and whatever the caller still
+holds.  Importing this module on glibc raises malloc's mmap and
 trim thresholds (`mallopt`) for the whole process, so the multi-MB
 arrays a step frees stay in the heap and are reused by the next step
 instead of being unmapped and faulted in again as fresh zeroed pages.
@@ -65,7 +70,8 @@ import numpy as np
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # glibc caps the mmap threshold at 32 MiB on 64-bit builds; the largest
-# per-step array at the desk config (the second stage's `colsT`) is ~19 MB.
+# per-step array at the desk config (the second stage's `colsT`, rebuilt
+# in backward, and its gradient twin) is ~19 MB.
 _MMAP_THRESHOLD = 32 * 1024 * 1024
 _TRIM_THRESHOLD = 256 * 1024 * 1024
 
@@ -473,6 +479,31 @@ def _col2im(gcolsT: np.ndarray, x_shape, kh: int, kw: int, p: int, ho: int, wo: 
     return gxpT[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3)
 
 
+_ROW_BLOCK = 1024
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row of 2-D `a` summed left to right: the bits of
+    `np.cumsum(a, axis=1)[:, -1]`, without its full-size temporary.
+
+    Transposed blocks of `_ROW_BLOCK` columns are reduced over their outer
+    axis, which numpy adds one row at a time; the previous blocks' sums
+    are added into each block's first row.  A block must be at least 2
+    wide, or numpy sums its single column pairwise, so a one-row `a` gets
+    a spare column.  The reduction starts from -0.0, not numpy's 0.0:
+    -0.0 + x is x for every x, so a row of -0.0 keeps its sign.
+    """
+    r, m = a.shape
+    buf = np.zeros((min(m, _ROW_BLOCK), max(r, 2)))
+    acc = -0.0
+    for s in range(0, m, _ROW_BLOCK):
+        blk = buf[: min(_ROW_BLOCK, m - s)]
+        blk[:, :r] = a[:, s : s + _ROW_BLOCK].T
+        blk[0] += acc
+        acc = np.add.reduce(blk, axis=0, initial=-0.0)
+    return acc[:r]
+
+
 def _pool2x2(a: np.ndarray) -> np.ndarray:
     """2-by-2 window means over the last two axes, as
     ((x00 + x01) + (x10 + x11)) * 0.25: two paired adds, then one scale."""
@@ -544,12 +575,16 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     NCHW in, NCHW out; the conv output extents must be even.  The conv
     output stays channel-major (F, N*Ho*Wo) from the GEMM through the
     bias, the in-place relu and the pool; only the quarter-size pooled
-    output is transposed to NCHW.  Under the tape the op keeps `colsT`
-    and a 1-byte relu mask (pre-activation > 0), and no conv or relu
-    output; without a tape it frees `colsT` right after the GEMM and
-    builds no mask.  Backward writes the upsampled `g * 0.25`, masks it
-    in place, and runs conv2d's GEMMs and col2im on that (F, N*Ho*Wo)
-    gradient; the bias gradient sums each row in order, as conv2d does.
+    output is transposed to NCHW.  `colsT` is freed right after the GEMM.
+    Under the tape the op keeps a 1-byte relu mask (pre-activation > 0)
+    and no conv or relu output; without a tape it builds no mask.
+    Backward writes the width-doubled rows of `g * 0.25` into both rows
+    of each window with the mask multiplied in, rebuilds `colsT` from
+    `x.data` for the weight GEMM and frees it, then runs conv2d's other
+    GEMM and col2im on that (F, N*Ho*Wo) gradient.  The bias gradient
+    sums each row left to right, as conv2d does, in blocks (`_row_sums`).
+    The bits equal those of upsampling, masking in place and a saved
+    `colsT`.
     """
     n, f, kh, kw, p, ho, wo = _conv_geometry("conv_relu_pool", x, w, b, padding)
     if ho % 2 or wo % 2:
@@ -557,8 +592,7 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     colsT = _im2col(x.data, kh, kw, p, ho, wo)
     wmat = w.data.reshape(f, -1)
     out = wmat @ colsT
-    # one-shot: backward frees colsT before allocating gcolsT, its twin
-    saved = [colsT] if _tape else None
+    # backward rebuilds colsT from x.data (module docstring, "Memory")
     del colsT
     out += b.data[:, None]
     np.maximum(out, 0.0, out=out)
@@ -568,12 +602,16 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     data = np.ascontiguousarray(pooled.transpose(1, 0, 2, 3))
 
     def backward(g):
+        # width-doubled rows of g * 0.25, masked into both rows of each
+        # window: the bits of upsampling first and masking in place
         gT = np.empty((f, n * ho * wo))
-        gq = g.transpose(1, 0, 2, 3) * 0.25
-        gT.reshape(f, n, ho // 2, 2, wo // 2, 2)[...] = gq[:, :, :, None, :, None]
-        gT *= mask
-        w._accumulate((saved.pop() @ gT.T).T.reshape(w.shape))
-        b._accumulate(np.cumsum(gT, axis=1)[:, -1])
+        rows = np.repeat(g * 0.25, 2, axis=3).transpose(1, 0, 2, 3)[:, :, :, None, :]
+        np.multiply(rows, mask.reshape(f, n, ho // 2, 2, wo), out=gT.reshape(f, n, ho // 2, 2, wo))
+        del rows
+        colsT = _im2col(x.data, kh, kw, p, ho, wo)
+        w._accumulate((colsT @ gT.T).T.reshape(w.shape))
+        del colsT
+        b._accumulate(_row_sums(gT))
         if x.requires_grad:
             x._accumulate(_col2im(wmat.T @ gT, x.shape, kh, kw, p, ho, wo))
 

@@ -14,7 +14,10 @@ It builds, in a temporary directory and at seed 1:
   synthetic eval set, with its features, `probe_report.csv`,
   `metrics_report.csv` and `_encode_view_pairs` features;
 - `extract_features` (features then labels) and `_encode_view_pairs` on
-  the quickstart moco checkpoint, whose 16 px input takes the resize path.
+  the quickstart moco checkpoint, whose 16 px input takes the resize path;
+- `op_gradcheck_suite(seed=0)`: one digest over every entry's name and
+  error as `float.hex`, so a backward rewrite that moves one bit of an
+  op's gradient shows here (~0.1 s).
 
 It prints them as JSON.  With ``--check`` it compares them against the
 reference below, names every entry that differs, and exits 1 if any does.
@@ -42,6 +45,7 @@ import numpy as np  # noqa: E402
 from hcl import cli, metrics  # noqa: E402
 from hcl.config import config_from_dict  # noqa: E402
 from hcl.data import generate_synthetic, load_cifar_batch  # noqa: E402
+from hcl.gradcheck import op_gradcheck_suite  # noqa: E402
 from hcl.train import extract_features, load_pretrained, pretrain  # noqa: E402
 
 SEED = 1
@@ -122,6 +126,8 @@ REFERENCE = {
         "7abb1a89edd1bd87b027e821d9f5feb94abe24353ec382196f650b809a08f9e7",
     "eval/encode_view_pairs":
         "aab9a95d2fc3368f0e3015b7648ea9b77cfc6c122ee96a0f314b3df20e60678f",
+    "gradcheck/op_suite":
+        "4031702abaaffd519ea7d542fbae2b64402f6562cab194e4a70c6343efdd6a15",
 }
 
 
@@ -199,6 +205,9 @@ def compute(work: Path) -> dict[str, str]:
     fa, fb = cli._encode_view_pairs(fw, records, ck_cfg)
     out["quickstart/moco.hall-on/encode_view_pairs"] = _sha(fa.tobytes() + fb.tobytes())
     _eval_unit(work, paths["desk"], out)
+    errors = op_gradcheck_suite(seed=0)
+    out["gradcheck/op_suite"] = _sha("".join(f"{name} {err.hex()}\n"
+                                             for name, err in errors.items()).encode())
     return out
 
 
