@@ -56,19 +56,78 @@ def save_cifar_batch(records: np.ndarray, path: str | os.PathLike) -> None:
     out.tofile(os.fspath(path))
 
 
-def hsv_to_rgb(hue, s, v) -> np.ndarray:
+# Per hue sector k = floor(6 h), the source of r, g and b: v, p = v (1 - s)
+# or the middle value m, which is t = v (1 - s (1 - f)) in even sectors and
+# q = v (1 - s f) in odd ones.  Sector 6 is reached where h % 1 rounds up
+# to 1.0; there f = 0 and it acts as sector 0.
+#                k:  0123456
+_SECTOR_SOURCES = ("vmppmvv",  # r
+                   "mvvmppm",  # g
+                   "ppmvvmp")  # b
+
+
+def wrap_unit(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x <- x % 1.0 in place, computed as x - floor(x); ``scratch`` (the
+    shape of x) is overwritten.  Returns x.
+
+    The two agree bit for bit on every finite double.  For x >= 0 both
+    are the exact fraction.  For x < 0 numpy's ``%`` is fmod(x, 1) + 1,
+    and fmod(x, 1) = x - trunc(x) = x - floor(x) - 1 exactly, so both
+    round the same real number once; a tiny negative x rounds up to 1.0
+    in both.  Where the fraction is zero both give +0.0, -0.0 included.
+    """
+    np.floor(x, out=scratch)
+    x -= scratch
+    return x
+
+
+def hsv_to_rgb(hue, s, v, out: np.ndarray | None = None) -> np.ndarray:
     """HSV to float RGB, elementwise over broadcastable arrays or scalars;
-    the channel axis is appended last."""
-    h6 = (hue % 1.0) * 6.0
-    sector = np.floor(h6)
-    i = sector.astype(np.int64) % 6
-    f = h6 - sector
-    p = v * (1 - s)
-    q = v * (1 - s * f)
-    t = v * (1 - s * (1 - f))
-    return np.stack([np.choose(i, (v, q, p, p, t, v)),
-                     np.choose(i, (t, v, v, q, p, p)),
-                     np.choose(i, (p, p, t, v, v, q))], axis=-1)
+    the channel axis is appended last.  With ``out`` (..., 3), which may
+    be a channel-last view of (3, ...) planes, the result is written there.
+
+    Per element it is the textbook sector formula: h6 = (hue % 1) * 6,
+    f = h6 - floor(h6), then v, p, q or t per channel by sector.  ``% 1``
+    is computed as x - floor(x) (`wrap_unit`), which is exact.  Only the
+    middle value the sector needs is computed, with the same operations
+    as q or t: its factor 1 - f (even sectors) or f (odd) is |parity - f|,
+    exact because 0 <= f < 1.  Each channel then takes v, p or the middle
+    value by masked copies per `_SECTOR_SOURCES`; the blue plane holds p
+    until red and green have read it.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(hue), np.shape(s), np.shape(v))
+        out = np.empty(shape + (3,))
+    r, g, b = (out[..., c] for c in range(3))
+    m = np.empty(b.shape)
+    np.copyto(m, hue)
+    wrap_unit(m, b)
+    m *= 6.0  # h6
+    np.floor(m, out=b)
+    sector = b.astype(np.uint8)
+    m -= b  # f
+    np.subtract((sector & 1) ^ 1, m, out=m)
+    np.abs(m, out=m)  # 1 - f or f
+    np.multiply(s, m, out=m)
+    np.subtract(1, m, out=m)
+    np.multiply(v, m, out=m)
+    np.subtract(1, s, out=b)
+    np.multiply(v, b, out=b)  # p
+    onehot = np.left_shift(np.uint8(1), sector)  # sector is scratch from here on
+    mask = np.empty(sector.shape, dtype=bool)
+
+    def select(plane, channel, source, values):
+        sectors = sum(1 << k for k, c in enumerate(_SECTOR_SOURCES[channel]) if c == source)
+        np.bitwise_and(onehot, sectors, out=sector)
+        np.copyto(plane, values, where=np.not_equal(sector, 0, out=mask))
+
+    for channel, plane in enumerate((r, g)):
+        np.copyto(plane, v)
+        select(plane, channel, "m", m)
+        select(plane, channel, "p", b)
+    select(b, 2, "m", m)
+    select(b, 2, "v", v)
+    return out
 
 
 def make_synthetic_records(classes: int, per_class: int, seed: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from hcl.augment import (
     _draw_crop,
     _draw_transforms,
     _photometric,
+    _shift_hue,
     CropRegion,
     apply_transforms,
     augment_batch,
@@ -528,6 +529,51 @@ class TestBatchedPipelineOracle:
         rngs = [np.random.default_rng(i) for i in range(len(images))]
         with pytest.raises(ValueError, match=r"expected \(B, h, w, 3\) uint8"):
             augment_batch(images, AugmentConfig(), rngs)
+
+
+# ---- the hue round trip on pixels the synthetic data rarely holds ----------
+
+# Channel levels: black, white, a byte level, and unit floats.
+_LEVELS = st.one_of(st.sampled_from([0.0, 1.0, 128 / 255]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _adversarial_pixel(draw):
+    """An RGB pixel that ties the channel max (r = g, g = b, r = b,
+    r = g = b), has span 0, is black or white, sits just either side of
+    hue 0, or is arbitrary."""
+    a, b, c = draw(_LEVELS), draw(_LEVELS), draw(_LEVELS)
+    hi, lo = max(a, b), min(a, b)
+    return draw(st.sampled_from([
+        (hi, hi, lo), (lo, hi, hi), (hi, lo, hi), (a, a, a), (0.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0), (1.0, 0.0, lo / 64), (1.0, lo / 64, 0.0), (a, b, c),
+    ]))
+
+
+# Shifts that carry hues near 0 across 0 and 1, land on sector edges, or
+# leave a tiny negative hue that wraps to 1.0.
+_SHIFTS = st.one_of(st.sampled_from([0.04, -0.04, 0.5, -0.5, 1 / 6, -1 / 6,
+                                     1 - 2.0**-53, -(2.0**-60), -1e-300]),
+                    st.floats(-0.1, 0.1))
+
+
+class TestShiftHueAdversarial:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(views=st.lists(st.lists(_adversarial_pixel(), min_size=6, max_size=6),
+                          min_size=1, max_size=4),
+           shifts=st.lists(_SHIFTS, min_size=4, max_size=4))
+    def test_matches_reference_round_trip_bits(self, views, shifts):
+        x = np.array(views).reshape(len(views), 2, 3, 3)
+        shift = np.array(shifts[: len(views)])
+        # The reference divides only by nonzero spans and maxima; so must
+        # the batched round trip.
+        with np.errstate(divide="raise", invalid="raise"):
+            got = _shift_hue(x, shift[:, None, None])
+            for view, fh, out in zip(x, shift, got):
+                hsv = _ref_rgb_to_hsv(view)
+                hsv[..., 0] = (hsv[..., 0] + fh) % 1.0
+                want = np.clip(_ref_hsv_to_rgb(hsv), 0.0, 1.0)
+                assert out.tobytes() == want.tobytes(), (view, fh)
 
 
 # ---- crop geometry as properties -------------------------------------------

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcl.data import (
     IMAGE_SIDE,
@@ -15,6 +17,7 @@ from hcl.data import (
     load_cifar_batch,
     make_synthetic_records,
     save_cifar_batch,
+    wrap_unit,
 )
 
 
@@ -49,6 +52,59 @@ class TestHsvToRgb:
         assert got.shape == (2000, 3)
         for row, (hue, sat, val) in zip(got, hsv):
             assert np.array_equal(row, _scalar_hue_to_rgb(hue, sat, val))
+
+
+def _choose_hsv_to_rgb(hue, s, v):
+    """`hsv_to_rgb` as once written, with float `%`, int `% 6` and
+    `np.choose`, as oracle."""
+    h6 = (hue % 1.0) * 6.0
+    sector = np.floor(h6)
+    i = sector.astype(np.int64) % 6
+    f = h6 - sector
+    p = v * (1 - s)
+    q = v * (1 - s * f)
+    t = v * (1 - s * (1 - f))
+    return np.stack([np.choose(i, (v, q, p, p, t, v)),
+                     np.choose(i, (t, v, v, q, p, p)),
+                     np.choose(i, (p, p, t, v, v, q))], axis=-1)
+
+
+# Hues that sit on an edge: every sector boundary k/6 in [-3, 3], signed
+# zero, the largest double below 1 (whose 6 h rounds to 6), and negatives
+# so small that h % 1 rounds up to 1.0.
+_EDGE_HUES = ([k / 6 for k in range(-18, 19)]
+              + [-0.0, 1 - 2.0**-53, -(2.0**-60), -1e-300, -5e-324, 2.0**-53, 1 / 6 - 2.0**-55])
+_HUES = st.one_of(st.sampled_from(_EDGE_HUES), st.floats(-3.0, 3.0))
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _hsv_arguments(draw):
+    """hue, s, v as Python floats, as equal-length arrays, or as arrays
+    that broadcast: hue (n,), s a scalar, v (k, 1)."""
+    form = draw(st.sampled_from(["scalar", "same", "broadcast"]))
+    if form == "scalar":
+        return draw(_HUES), draw(_UNIT), draw(_UNIT)
+    n = draw(st.integers(1, 12))
+    hue = np.array(draw(st.lists(_HUES, min_size=n, max_size=n)))
+    if form == "same":
+        return (hue, np.array(draw(st.lists(_UNIT, min_size=n, max_size=n))),
+                np.array(draw(st.lists(_UNIT, min_size=n, max_size=n))))
+    k = draw(st.integers(1, 4))
+    return hue, draw(_UNIT), np.array(draw(st.lists(_UNIT, min_size=k, max_size=k)))[:, None]
+
+
+class TestHsvToRgbProperties:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(args=_hsv_arguments(),
+           doubles=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_matches_choose_oracle_bytes_and_wrap_is_mod_one(self, args, doubles):
+        got, want = hsv_to_rgb(*args), _choose_hsv_to_rgb(*args)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), args
+        # x - floor(x) is x % 1.0 on any finite double, signed zeros included.
+        x = np.array(doubles + [-0.0, 5e-324, -5e-324, -1e-300, 1e300, -1e300, -3.0])
+        assert wrap_unit(x.copy(), np.empty_like(x)).tobytes() == (x % 1.0).tobytes()
 
 
 class TestCifarLayout:

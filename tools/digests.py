@@ -17,7 +17,11 @@ It builds, in a temporary directory and at seed 1:
   the quickstart moco checkpoint, whose 16 px input takes the resize path;
 - `op_gradcheck_suite(seed=0)`: one digest over every entry's name and
   error as `float.hex`, so a backward rewrite that moves one bit of an
-  op's gradient shows here (~0.1 s).
+  op's gradient shows here (~0.1 s);
+- `augment/adversarial`: `augment_batch` at `out_size` 32 and 16 on a
+  fixed batch of color blocks that the synthetic data rarely reaches:
+  exact channel-max ties, grays (span 0), black, white, the hue sector
+  edges k/6, and reds whose hue a shift carries across 0 and 1.
 
 It prints them as JSON.  With ``--check`` it compares them against the
 reference below, names every entry that differs, and exits 1 if any does.
@@ -43,9 +47,11 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from hcl import cli, metrics  # noqa: E402
+from hcl.augment import AugmentConfig, augment_batch  # noqa: E402
 from hcl.config import config_from_dict  # noqa: E402
 from hcl.data import generate_synthetic, load_cifar_batch  # noqa: E402
 from hcl.gradcheck import op_gradcheck_suite  # noqa: E402
+from hcl.rng import substream  # noqa: E402
 from hcl.train import extract_features, load_pretrained, pretrain  # noqa: E402
 
 SEED = 1
@@ -60,6 +66,14 @@ QUICKSTART = {
 }
 EVAL_DATA = {"classes": 8, "per_class": 64}
 RECIPES = [(fw, hall) for fw in ("moco", "simclr", "simsiam") for hall in (True, False)]
+# Block colors for `augment/adversarial`: black, white, grays, ties of the
+# channel max, the six sector edges and reds just either side of hue 0.
+ADVERSARIAL_COLORS = [
+    (0, 0, 0), (255, 255, 255), (128, 128, 128), (1, 1, 1),
+    (200, 200, 40), (40, 200, 200), (200, 40, 200), (90, 90, 30),
+    (255, 0, 0), (255, 255, 0), (0, 255, 0), (0, 255, 255),
+    (0, 0, 255), (255, 0, 255), (255, 0, 3), (255, 3, 0),
+]
 
 REFERENCE = {
     "data/desk.bin":
@@ -128,6 +142,8 @@ REFERENCE = {
         "aab9a95d2fc3368f0e3015b7648ea9b77cfc6c122ee96a0f314b3df20e60678f",
     "gradcheck/op_suite":
         "4031702abaaffd519ea7d542fbae2b64402f6562cab194e4a70c6343efdd6a15",
+    "augment/adversarial":
+        "e1d835326750515900b6203fc8ef3baff6a631b6a6ae157fab5bc6943ebf7b65",
 }
 
 
@@ -185,6 +201,21 @@ def _eval_unit(work: Path, data_path: Path, out: dict) -> None:
     out["eval/encode_view_pairs"] = _sha(fa.tobytes() + fb.tobytes())
 
 
+def _adversarial_views() -> bytes:
+    """Both views of 8 images, each a 4 x 4 grid of 8 px blocks that
+    shows every `ADVERSARIAL_COLORS` entry once in its own order."""
+    colors = np.array(ADVERSARIAL_COLORS, dtype=np.uint8)
+    orders = [np.random.default_rng(i).permutation(len(colors)) for i in range(8)]
+    images = np.stack([colors[o].reshape(4, 4, 3).repeat(8, axis=0).repeat(8, axis=1)
+                       for o in orders])
+    views = b""
+    for size in (32, 16):
+        rngs = [substream(SEED, "adversarial", size, i) for i in range(len(images))]
+        v1, v2 = augment_batch(images, AugmentConfig(out_size=size), rngs)
+        views += v1.tobytes() + v2.tobytes()
+    return views
+
+
 def compute(work: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     paths = {name: _data(work, name, base["data"])
@@ -208,6 +239,7 @@ def compute(work: Path) -> dict[str, str]:
     errors = op_gradcheck_suite(seed=0)
     out["gradcheck/op_suite"] = _sha("".join(f"{name} {err.hex()}\n"
                                              for name, err in errors.items()).encode())
+    out["augment/adversarial"] = _sha(_adversarial_views())
     return out
 
 
