@@ -17,13 +17,18 @@ Views are made in two phases.  The draw phase runs per sample and takes
 every random number from that sample's generator, in a fixed order:
 crop of view 1, crop of view 2, transforms of view 1, transforms of
 view 2.  No draw depends on pixel values, so the draws alone fix the
-views.  The pixel phase then works on all views of a batch at once:
-crop plus resize gathers each bilinear tap of every view in one call,
-each photometric step is a broadcast over views (or over the masked
-views it applies to), and blur runs once per kernel radius.  The hue
-shift's HSV round trip runs planar: one contiguous (3, V, h, w) copy of
-its views, so every step works on stride-1 planes, with buffers reused
-and selections made by masked writes rather than `np.where`/`np.choose`.
+views.  They come out as two arrays: a (V, 5) box array, one row
+(image, top, left, crop_h, crop_w) per view, and a (V, 7) draw array,
+one row (fb, fc, fs, fh, gray, sigma, flip) per view.  The pixel phase
+then works on all views of a batch at once.  Crops and evaluation
+resizes share one bilinear resampler, `_resample`, which gathers each
+tap of every view in one call and combines each row of taps as soon as
+it is gathered; each photometric step is a broadcast over views (or
+over the masked views it applies to), and blur runs once per kernel
+radius.  The hue shift's HSV round trip runs planar: one contiguous
+(3, V, h, w) copy of its views, so every step works on stride-1 planes,
+with buffers reused and selections made by masked writes rather than
+`np.where`/`np.choose`.
 Its ``% 1.0`` is computed as x - floor(x), which is bit-identical on
 every finite double (`hcl.data.wrap_unit`) and ~8x cheaper than numpy's
 float ``%``.  Per element the pixel phase does the same arithmetic in
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,8 +56,7 @@ GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 
 
-@dataclass
-class CropRegion:
+class CropRegion(NamedTuple):
     """Axis-aligned rectangle fully inside its source image."""
 
     top: int
@@ -91,19 +95,6 @@ class AugmentConfig:
         for key in ("jitter_strength", "grayscale_prob", "flip_prob", "blur_prob"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ValueError(f"augment.{key} must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class TransformDraws:
-    """The random choices of one view's photometric transforms."""
-
-    fb: float  # brightness scale
-    fc: float  # contrast scale
-    fs: float  # saturation scale
-    fh: float  # hue shift; 0 skips the HSV round trip
-    gray: bool
-    sigma: float | None  # blur sigma; None means no blur
-    flip: bool
 
 
 def center_crop(img: np.ndarray, p: float) -> np.ndarray:
@@ -178,12 +169,14 @@ def _draw_crop(h: int, w: int, cfg: AugmentConfig, rng: np.random.Generator) -> 
     return CropRegion(int(round(u * (h - ch))), int(round(v * (w - cw))), ch, cw)
 
 
-def _draw_transforms(cfg: AugmentConfig, rng: np.random.Generator) -> TransformDraws:
-    """Jitter scales, then the grayscale, blur (plus sigma) and flip coins.
+def _draw_transforms(cfg: AugmentConfig, rng: np.random.Generator) -> tuple:
+    """One view's draw row (fb, fc, fs, fh, gray, sigma, flip): jitter
+    scales, then the grayscale, blur (plus sigma) and flip coins.
 
     Brightness/contrast/saturation scales are uniform in [1-s, 1+s] and
     the hue shift in [-0.1s, 0.1s].  They are drawn even when s == 0, so
-    the stream layout does not depend on the strength.
+    the stream layout does not depend on the strength.  A drawn blur
+    sigma lies in [0.1, 2); sigma 0.0 means no blur.
     """
     s = cfg.jitter_strength
     fb = rng.uniform(1.0 - s, 1.0 + s)
@@ -191,11 +184,9 @@ def _draw_transforms(cfg: AugmentConfig, rng: np.random.Generator) -> TransformD
     fs = rng.uniform(1.0 - s, 1.0 + s)
     fh = rng.uniform(-0.1 * s, 0.1 * s)
     gray = rng.random() < cfg.grayscale_prob
-    sigma = None
-    if rng.random() < cfg.blur_prob:
-        sigma = rng.uniform(0.1, 2.0)
+    sigma = rng.uniform(0.1, 2.0) if rng.random() < cfg.blur_prob else 0.0
     flip = rng.random() < cfg.flip_prob
-    return TransformDraws(fb, fc, fs, fh, gray, sigma, flip)
+    return fb, fc, fs, fh, gray, sigma, flip
 
 
 # ---- pixel phase -----------------------------------------------------------
@@ -203,37 +194,10 @@ def _draw_transforms(cfg: AugmentConfig, rng: np.random.Generator) -> TransformD
 
 def _bilinear_taps(n: np.ndarray, out: int):
     """Source taps (i0, i1, frac), each (V, out), for resizing sizes n (V,) to out."""
-    n = np.asarray(n, dtype=np.int64)[:, None]
+    n = n[:, None]
     pos = np.clip((np.arange(out) + 0.5) * (n / out) - 0.5, 0.0, n - 1.0)
     i0 = np.floor(pos).astype(np.int64)
     return i0, np.minimum(i0 + 1, n - 1), pos - i0
-
-
-def _bilerp(p00, p01, p10, p11, fy, fx):
-    """(p00 (1-fx) + p01 fx) (1-fy) + (p10 (1-fx) + p11 fx) fy, computed in
-    place: the four tap arrays are overwritten and p00 is returned."""
-    gx = 1 - fx
-    p00 *= gx
-    p01 *= fx
-    p00 += p01
-    p10 *= gx
-    p11 *= fx
-    p10 += p11
-    p00 *= 1 - fy
-    p10 *= fy
-    p00 += p10
-    return p00
-
-
-def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of (..., h, w, c) to (..., out_h, out_w, c) with
-    half-pixel center alignment, float64 out; leading axes are a batch."""
-    src = np.asarray(pixels, dtype=np.float64)
-    y0, y1, fy = (a[0] for a in _bilinear_taps([src.shape[-3]], out_h))
-    x0, x1, fx = (a[0] for a in _bilinear_taps([src.shape[-2]], out_w))
-    top, bottom = src[..., y0, :, :], src[..., y1, :, :]
-    return _bilerp(top[..., x0, :], top[..., x1, :], bottom[..., x0, :], bottom[..., x1, :],
-                   fy[:, None, None], fx[None, :, None])
 
 
 def _to_uint8(x: np.ndarray) -> np.ndarray:
@@ -244,28 +208,43 @@ def _to_uint8(x: np.ndarray) -> np.ndarray:
     return x.astype(np.uint8)
 
 
-def _crop_resize(images: np.ndarray, which: Sequence[int],
-                 regions: Sequence[CropRegion], out_size: int) -> np.ndarray:
-    """uint8 views (V, S, S, 3): view v is regions[v] of images[which[v]],
-    bilinear-resized to S = out_size.
+def _resample(pixels: np.ndarray, boxes: np.ndarray, out_size: int) -> np.ndarray:
+    """Float views (V, S, S, 3), S = out_size: view v is the box
+    (image, top, left, crop_h, crop_w) = boxes[v] of the float (N, h, w, 3)
+    ``pixels``, bilinear-resized with half-pixel center alignment.
 
-    Images are (N, h, w, 3) uint8.  Each bilinear tap of every view is one
-    gather from their pixels as (N*h*w, 3) rows.
+    Each tap of every view is one gather from the pixels as (N*h*w, 3)
+    rows.  A row of taps is combined in place as soon as it is gathered,
+    (p00 (1-fx) + p01 fx) (1-fy) + (p10 (1-fx) + p11 fx) fy, so at most
+    three tap-sized arrays are alive.
     """
-    h, w = images.shape[1:3]
-    unit = images.astype(np.float64).reshape(-1, 3)
-    unit /= 255.0
-    starts = np.asarray(which, dtype=np.int64) * (h * w)
-    top, left, ch, cw = (np.array(col, dtype=np.int64) for col in
-                         zip(*[(r.top, r.left, r.crop_h, r.crop_w) for r in regions]))
+    h, w = pixels.shape[1:3]
+    flat = pixels.reshape(-1, 3)
+    image, top, left, ch, cw = boxes.T
     y0, y1, fy = _bilinear_taps(ch, out_size)
     x0, x1, fx = _bilinear_taps(cw, out_size)
-    rows = [(starts[:, None] + (top[:, None] + y) * w)[:, :, None] for y in (y0, y1)]
-    cols = [(left[:, None] + x)[:, None, :] for x in (x0, x1)]
-    taps = [np.take(unit, r + c, axis=0) for r in rows for c in cols]
     # Weights repeated over channels keep the innermost loops long.
     fx = np.repeat(fx[:, None, :, None], 3, axis=3)
-    return _to_uint8(_bilerp(*taps, fy[:, :, None, None], fx))
+    gx = 1 - fx
+    fy = fy[:, :, None, None]
+    first_row = (image * h + top)[:, None]
+    c0, c1 = ((left[:, None] + x)[:, None, :] for x in (x0, x1))
+
+    def tap_row(y):
+        r = ((first_row + y) * w)[:, :, None]
+        p = np.take(flat, r + c0, axis=0)
+        p *= gx
+        q = np.take(flat, r + c1, axis=0)
+        q *= fx
+        p += q
+        return p
+
+    out = tap_row(y0)
+    out *= 1 - fy
+    bottom = tap_row(y1)
+    bottom *= fy
+    out += bottom
+    return out
 
 
 def _rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,35 +345,33 @@ def _apply_where(x: np.ndarray, mask: np.ndarray, fn) -> None:
         x[rows] = fn(x[rows], rows)
 
 
-def _photometric(views: np.ndarray, draws: Sequence[TransformDraws]) -> np.ndarray:
+def _photometric(views: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Color jitter -> grayscale -> Gaussian blur -> flip on uint8 views
-    (V, h, w, 3), view v with draws[v]; returns unit floats of that shape.
+    (V, h, w, 3), view v with the draw row draws[v] (see
+    `_draw_transforms`); returns unit floats of that shape.
 
     Jitter scales brightness, contrast and saturation in that order,
     then shifts hue where the draw is nonzero.
     """
-    n = len(draws)
-    fb, fc, fs, fh = (np.array([getattr(d, k) for d in draws])[:, None, None, None]
-                      for k in ("fb", "fc", "fs", "fh"))
+    fb, fc, fs, fh, gray, sigma, flip = draws.T
     x = views.astype(np.float64)
     x /= 255.0
-    x *= fb
+    x *= fb[:, None, None, None]
     np.clip(x, 0.0, 1.0, out=x)
     # The mean runs over the luma repeated per channel, as a (V, h, w, 3)
     # gray image; its pairwise sum differs from the (V, h, w) column's.
-    mean = np.repeat(_grayscale(x), 3, axis=-1).reshape(n, -1).mean(axis=1)
-    _scale_about(x, mean[:, None, None, None], fc)
-    _scale_about(x, _grayscale(x), fs)
-    _apply_where(x, fh[:, 0, 0, 0] != 0.0, lambda v, rows: _shift_hue(v, fh[rows, :, :, 0]))
-    _apply_where(x, np.array([d.gray for d in draws]), lambda v, rows: _grayscale(v))
-    # Blur runs once per kernel radius max(1, ceil(2 sigma)); 0 means no blur.
-    sigma = np.array([0.0 if d.sigma is None else d.sigma for d in draws])
-    radius = np.array([0 if d.sigma is None else max(1, int(np.ceil(2.0 * d.sigma)))
-                       for d in draws])
+    mean = np.repeat(_grayscale(x), 3, axis=-1).reshape(len(x), -1).mean(axis=1)
+    _scale_about(x, mean[:, None, None, None], fc[:, None, None, None])
+    _scale_about(x, _grayscale(x), fs[:, None, None, None])
+    _apply_where(x, fh != 0.0, lambda v, rows: _shift_hue(v, fh[rows, None, None]))
+    _apply_where(x, gray != 0.0, lambda v, rows: _grayscale(v))
+    # Blur runs once per kernel radius ceil(2 sigma), which is 0 exactly
+    # where sigma is 0: no blur.
+    radius = np.ceil(2.0 * sigma).astype(np.int64)
     for r in np.unique(radius[radius > 0]):
         _apply_where(x, radius == r,
                      lambda v, rows: _gaussian_blur(v, sigma[rows], int(r)))
-    _apply_where(x, np.array([d.flip for d in draws]), lambda v, rows: v[:, :, ::-1])
+    _apply_where(x, flip != 0.0, lambda v, rows: v[:, :, ::-1])
     return x
 
 
@@ -417,17 +394,17 @@ def augment_batch(images: np.ndarray, cfg: AugmentConfig,
                          f"got {images.shape} {images.dtype}")
     if len(images) != len(rngs):
         raise ValueError(f"augment_batch: {len(images)} images but {len(rngs)} generators")
-    b, h, w = images.shape[:3]
+    h, w = images.shape[1:3]
     inner = center_crop_region(h, w, cfg.p)
     outer = inner if cfg.center_crop_both else CropRegion(0, 0, h, w)
-    regions, draws = [], []
-    for rng in rngs:
+    boxes, draws = [], []
+    for i, rng in enumerate(rngs):
         for src in (inner, outer):
-            r = _draw_crop(src.crop_h, src.crop_w, cfg, rng)
-            regions.append(CropRegion(src.top + r.top, src.left + r.left, r.crop_h, r.crop_w))
+            top, left, ch, cw = _draw_crop(src.crop_h, src.crop_w, cfg, rng)
+            boxes.append((i, src.top + top, src.left + left, ch, cw))
         draws += [_draw_transforms(cfg, rng), _draw_transforms(cfg, rng)]
-    cropped = _crop_resize(images, np.repeat(np.arange(b), 2), regions, cfg.out_size)
-    views = _to_uint8(_photometric(cropped, draws))
+    cropped = _to_uint8(_resample(images / 255.0, np.array(boxes), cfg.out_size))
+    views = _to_uint8(_photometric(cropped, np.array(draws)))
     return views[0::2], views[1::2]
 
 
@@ -437,14 +414,15 @@ def center_suppressed_crop(
     """Random crop of an (h, w, 3) image with Beta-placed center (see
     `_draw_crop`), resized to out_size x out_size."""
     region = _draw_crop(img.shape[0], img.shape[1], cfg, rng)
-    return region, _crop_resize(img[None], [0], [region], cfg.out_size)[0]
+    return region, _to_uint8(_resample(img[None] / 255.0, np.array([(0, *region)]),
+                                       cfg.out_size))[0]
 
 
 def apply_transforms(img: np.ndarray, cfg: AugmentConfig,
                      rng: np.random.Generator) -> np.ndarray:
     """Color jitter -> random grayscale -> Gaussian blur -> horizontal flip
     of an (h, w, 3) uint8 image."""
-    return _to_uint8(_photometric(img[None], [_draw_transforms(cfg, rng)]))[0]
+    return _to_uint8(_photometric(img[None], np.array([_draw_transforms(cfg, rng)])))[0]
 
 
 def augment_pair(img: np.ndarray, cfg: AugmentConfig,
@@ -458,8 +436,9 @@ def augment_pair(img: np.ndarray, cfg: AugmentConfig,
 
 
 def to_unit_float_batch(views: np.ndarray) -> np.ndarray:
-    """Views (V, h, w, 3), uint8 or unrounded float pixel values, to
-    contiguous (V, 3, h, w) float64 scaled by 1/255: the encoder's input."""
+    """Views (V, h, w, 3), uint8 or the unrounded 0..255 floats of
+    `eval_view`'s resize, to contiguous (V, 3, h, w) float64 scaled by
+    1/255: the encoder's input."""
     x = np.ascontiguousarray(views.transpose(0, 3, 1, 2)).astype(np.float64)
     x /= 255.0
     return x
@@ -467,7 +446,10 @@ def to_unit_float_batch(views: np.ndarray) -> np.ndarray:
 
 def eval_view(images: np.ndarray, out_size: int) -> np.ndarray:
     """Deterministic evaluation inputs (B, 3, S, S), S = out_size, of a
-    (B, h, w, 3) uint8 batch: each full image resized, no randomness."""
-    if images.shape[1:3] != (out_size, out_size):
-        images = resize_bilinear(images, out_size, out_size)
+    (B, h, w, 3) uint8 batch, no randomness: each full image is one box
+    of the crop resampler, `_resample`, on its unscaled pixels."""
+    b, h, w = images.shape[:3]
+    if (h, w) != (out_size, out_size):
+        boxes = np.array([(i, 0, 0, h, w) for i in range(b)])
+        images = _resample(images.astype(np.float64), boxes, out_size)
     return to_unit_float_batch(images)

@@ -1,5 +1,7 @@
 """Crop geometry, Beta crop-center sampling, and the two-view pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hcl.augment import (
     _draw_crop,
     _draw_transforms,
     _photometric,
+    _resample,
     _shift_hue,
     CropRegion,
     apply_transforms,
@@ -20,10 +23,10 @@ from hcl.augment import (
     center_crop_region,
     center_suppressed_crop,
     eval_view,
-    resize_bilinear,
     sample_beta,
     to_unit_float_batch,
 )
+from hcl.data import make_synthetic_records
 from hcl.rng import substream
 
 # Two-sided tail mass P(X<0.1 or X>0.9) of Beta(0.6, 0.6); quadrature of
@@ -114,18 +117,28 @@ class TestSampleBeta:
                 sample_beta(bad, rng)
 
 
+def _whole(images):
+    """`_resample` boxes that cover every image of a batch."""
+    return np.array([(i, 0, 0, *images.shape[1:3]) for i in range(len(images))])
+
+
 class TestResizeBilinear:
     def test_same_size_is_identity(self):
         rng = np.random.default_rng(11)
-        src = rng.random((5, 7, 3))
-        assert np.array_equal(resize_bilinear(src, 5, 7), src)
+        src = rng.random((2, 5, 7, 3))
+        assert np.array_equal(_resample(src, _whole(src[:, :, :5]), 5), src[:, :, :5])
+        # A same-size box anywhere in a non-square source copies its pixels.
+        box = np.array([(1, 0, 2, 5, 5)])
+        assert np.array_equal(_resample(src, box, 5)[0], src[1, :, 2:7])
 
     def test_half_pixel_upscale_values(self):
-        src = np.array([[0.0, 1.0], [2.0, 3.0]])[:, :, None]
-        out = resize_bilinear(src, 4, 4)[:, :, 0]
+        src = np.repeat(np.array([[0.0, 1.0], [2.0, 3.0]])[None, :, :, None], 3, axis=3)
+        out = _resample(src, _whole(src), 4)[0]
         r0 = np.array([0.0, 0.25, 0.75, 1.0])
         expected = np.stack([r0, r0 + 0.5, r0 + 1.5, r0 + 2.0])
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        for c in range(3):
+            np.testing.assert_allclose(out[:, :, c], expected, atol=1e-12)
+        assert np.array_equal(out, _ref_resize_bilinear(src[0], 4, 4))
 
 
 class TestCenterSuppressedCrop:
@@ -495,7 +508,8 @@ class TestBatchedPipelineOracle:
         cfg = AugmentConfig(**overrides)
         rng = np.random.default_rng(44)
         images = np.stack([_rand_image(rng, 16, 16) for _ in range(24)])
-        draws = [_draw_transforms(cfg, substream(7, "t", i)) for i in range(24)]
+        draws = np.array([_draw_transforms(cfg, substream(7, "t", i)) for i in range(24)])
+        assert draws.shape == (24, 7)
         got = _photometric(images, draws)
         for i, img in enumerate(images):
             ref = _ref_transform_floats(img, cfg, substream(7, "t", i))
@@ -503,10 +517,23 @@ class TestBatchedPipelineOracle:
 
     def test_resize_floats_match(self):
         rng = np.random.default_rng(45)
-        for h, w, out_h, out_w in ((32, 32, 16, 16), (7, 19, 32, 8), (24, 40, 8, 8), (5, 5, 5, 5)):
-            src = rng.random((h, w, 3))
-            assert np.array_equal(resize_bilinear(src, out_h, out_w),
-                                  _ref_resize_bilinear(src, out_h, out_w))
+        for h, w, size in ((32, 32, 16), (7, 19, 32), (24, 40, 8), (5, 5, 5)):
+            src = rng.random((3, h, w, 3))
+            got = _resample(src, _whole(src), size)
+            for view, img in zip(got, src):
+                assert np.array_equal(view, _ref_resize_bilinear(img, size, size)), (h, w)
+            # Crops of several sizes and places from one batch, in one call.
+            boxes = np.array([(2, 1, 3, h - 1, w - 3), (0, 0, 0, 1, 1),
+                              (1, h // 2, w // 3, h - h // 2, w // 3)])
+            got = _resample(src, boxes, size)
+            for view, (i, top, left, ch, cw) in zip(got, boxes):
+                patch = src[i, top : top + ch, left : left + cw]
+                assert np.array_equal(view, _ref_resize_bilinear(patch, size, size)), (h, w)
+            # Evaluation resizes take the unscaled pixels of uint8 images.
+            images = np.stack([_rand_image(rng, h, w) for _ in range(2)])
+            for view, img in zip(eval_view(images, size), images):
+                ref = _ref_resize_bilinear(img, size, size).transpose(2, 0, 1) / 255.0
+                assert np.array_equal(view, ref), (h, w)
 
     def test_fallback_crop_is_centered_square(self, monkeypatch):
         monkeypatch.setattr(hcl.augment, "ASPECT_RANGE", (10.0, 20.0))
@@ -529,6 +556,26 @@ class TestBatchedPipelineOracle:
         rngs = [np.random.default_rng(i) for i in range(len(images))]
         with pytest.raises(ValueError, match=r"expected \(B, h, w, 3\) uint8"):
             augment_batch(images, AugmentConfig(), rngs)
+
+
+class TestAugmentMemory:
+    def test_desk_batch_peak_stays_under_four_and_a_half_taps(self):
+        # One tap array is one bilinear corner of every view as float64:
+        # (128, 32, 32, 3) at the desk shape, ~3.1 MB.  The resampler keeps
+        # at most three alive, next to the float source batch (half a tap)
+        # and one tap row's gather indices; gathering all four corners
+        # before combining them reads ~5 taps.
+        tap = 128 * 32 * 32 * 3 * 8
+        images = make_synthetic_records(10, 7, 0)["image"][:64]
+        cfg = AugmentConfig()
+        augment_batch(images, cfg, [substream(0, "peak", i) for i in range(64)])
+        tracemalloc.start()
+        try:
+            augment_batch(images, cfg, [substream(0, "peak", i) for i in range(64)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * tap, peak / tap
 
 
 # ---- the hue round trip on pixels the synthetic data rarely holds ----------

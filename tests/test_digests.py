@@ -1,0 +1,32 @@
+"""The fast entries of `tools/digests.py` against its committed reference.
+
+The full check (`PYTHONPATH=src python3 tools/digests.py --check`) trains
+every recipe; these two entries take ~0.1 s and pin the augmentation
+pipeline's bytes and every op's gradcheck error.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    """tools/digests.py as a module.  Its import pins the BLAS thread
+    variables in ``os.environ``; they are restored afterwards."""
+    with pytest.MonkeyPatch.context() as mp:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            mp.setenv(var, "1")  # records the prior value for the restore
+        spec = importlib.util.spec_from_file_location("digests", DIGESTS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("entry, build", [("augment/adversarial", "_adversarial_views"),
+                                          ("gradcheck/op_suite", "_op_suite")])
+def test_entry_matches_reference(digests, entry, build):
+    assert digests._sha(getattr(digests, build)()) == digests.REFERENCE[entry]

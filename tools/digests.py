@@ -216,6 +216,13 @@ def _adversarial_views() -> bytes:
     return views
 
 
+def _op_suite() -> bytes:
+    """Each `op_gradcheck_suite(seed=0)` entry's name and error as
+    `float.hex`, one line each."""
+    return "".join(f"{name} {err.hex()}\n"
+                   for name, err in op_gradcheck_suite(seed=0).items()).encode()
+
+
 def compute(work: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     paths = {name: _data(work, name, base["data"])
@@ -236,9 +243,7 @@ def compute(work: Path) -> dict[str, str]:
     fa, fb = cli._encode_view_pairs(fw, records, ck_cfg)
     out["quickstart/moco.hall-on/encode_view_pairs"] = _sha(fa.tobytes() + fb.tobytes())
     _eval_unit(work, paths["desk"], out)
-    errors = op_gradcheck_suite(seed=0)
-    out["gradcheck/op_suite"] = _sha("".join(f"{name} {err.hex()}\n"
-                                             for name, err in errors.items()).encode())
+    out["gradcheck/op_suite"] = _sha(_op_suite())
     out["augment/adversarial"] = _sha(_adversarial_views())
     return out
 
