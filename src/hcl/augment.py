@@ -438,8 +438,9 @@ def augment_pair(img: np.ndarray, cfg: AugmentConfig,
 def to_unit_float_batch(views: np.ndarray) -> np.ndarray:
     """Views (V, h, w, 3), uint8 or the unrounded 0..255 floats of
     `eval_view`'s resize, to contiguous (V, 3, h, w) float64 scaled by
-    1/255: the encoder's input."""
-    x = np.ascontiguousarray(views.transpose(0, 3, 1, 2)).astype(np.float64)
+    1/255: the encoder's input.  The transposed view is copied once, into
+    the float64 result, which is then scaled in place."""
+    x = views.transpose(0, 3, 1, 2).astype(np.float64, order="C")
     x /= 255.0
     return x
 

@@ -6,6 +6,11 @@ pooling, so an input side must be divisible by 2**len(channels).  Each
 stage, conv -> ReLU -> pool, is one `conv_relu_pool` op, bitwise equal
 to the three ops composed but without their full-size intermediates.
 The projector is a two-layer MLP onto the feature width d.
+
+Every dense head (the projector, SimSiam's predictor `MLP` and the
+hallucinator's head) is built by `dense_layers` and applied by `dense`:
+Xavier-uniform weights drawn layer by layer, constant biases, and a ReLU
+between successive linear layers, none after the last.
 """
 
 from __future__ import annotations
@@ -47,6 +52,24 @@ def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
     return rng.uniform(-bound, bound, shape)
 
 
+def dense_layers(widths: list[int], names: list[str], rng: np.random.Generator,
+                 bias: float = 0.0) -> list[tuple[Parameter, Parameter]]:
+    """Linear layers `widths[i] -> widths[i+1]`, each weight drawn from `rng`
+    in turn (Xavier uniform) and each bias filled with `bias`; layer i's
+    parameters are named `{names[i]}.w` and `{names[i]}.b`."""
+    return [(Parameter(_xavier_uniform(rng, (i, o), i, o), f"{name}.w"),
+             Parameter(np.full(o, bias), f"{name}.b"))
+            for i, o, name in zip(widths[:-1], widths[1:], names, strict=True)]
+
+
+def dense(x: Tensor, layers: list[tuple[Parameter, Parameter]]) -> Tensor:
+    """`layers` applied to x, with a ReLU before every layer but the first."""
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = add(matmul(relu(h) if i else h, w), b)
+    return h
+
+
 class ConvEncoder:
     """Backbone + projector; emits a (B, d) feature batch, unnormalized."""
 
@@ -69,23 +92,11 @@ class ConvEncoder:
             c_in = c_out
         side = in_size // (2 ** len(cfg.channels))
         self.flat_dim = c_in * side * side
-        self.fc1_w = Parameter(
-            _xavier_uniform(rng, (self.flat_dim, cfg.hidden_dim), self.flat_dim, cfg.hidden_dim),
-            f"{prefix}.fc1.w",
-        )
-        self.fc1_b = Parameter(np.zeros(cfg.hidden_dim), f"{prefix}.fc1.b")
-        self.fc2_w = Parameter(
-            _xavier_uniform(rng, (cfg.hidden_dim, cfg.feature_dim), cfg.hidden_dim, cfg.feature_dim),
-            f"{prefix}.fc2.w",
-        )
-        self.fc2_b = Parameter(np.zeros(cfg.feature_dim), f"{prefix}.fc2.b")
+        self.projector = dense_layers([self.flat_dim, cfg.hidden_dim, cfg.feature_dim],
+                                      [f"{prefix}.fc1", f"{prefix}.fc2"], rng)
 
     def parameters(self) -> list[Parameter]:
-        out = []
-        for w, b in self.convs:
-            out.extend([w, b])
-        out.extend([self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b])
-        return out
+        return [p for layer in self.convs + self.projector for p in layer]
 
     def forward(self, x: Tensor) -> Tensor:
         """x: (B, 3, S, S) in [0, 1] -> (B, d) features."""
@@ -93,16 +104,7 @@ class ConvEncoder:
         h = x
         for w, b in self.convs:
             h = conv_relu_pool(h, w, b, padding=pad)
-        h = h.reshape((h.shape[0], self.flat_dim))
-        h = relu(add(matmul(h, self.fc1_w), self.fc1_b))
-        return add(matmul(h, self.fc2_w), self.fc2_b)
-
-    def copy_from(self, other: "ConvEncoder") -> None:
-        """Overwrite this encoder's values with another's (shapes must match)."""
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            if mine.shape != theirs.shape:
-                raise ValueError(f"copy_from: shape mismatch on {mine.name}")
-            mine.data[...] = theirs.data
+        return dense(h.reshape((h.shape[0], self.flat_dim)), self.projector)
 
 
 class MLP:
@@ -114,14 +116,11 @@ class MLP:
     """
 
     def __init__(self, d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator, prefix: str):
-        self.w1 = Parameter(_xavier_uniform(rng, (d_in, d_hidden), d_in, d_hidden), f"{prefix}.fc1.w")
-        self.b1 = Parameter(np.full(d_hidden, 0.1), f"{prefix}.fc1.b")
-        self.w2 = Parameter(_xavier_uniform(rng, (d_hidden, d_out), d_hidden, d_out), f"{prefix}.fc2.w")
-        self.b2 = Parameter(np.full(d_out, 0.1), f"{prefix}.fc2.b")
+        self.layers = dense_layers([d_in, d_hidden, d_out], [f"{prefix}.fc1", f"{prefix}.fc2"],
+                                   rng, bias=0.1)
 
     def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
+        return [p for layer in self.layers for p in layer]
 
     def forward(self, x: Tensor) -> Tensor:
-        h = relu(add(matmul(x, self.w1), self.b1))
-        return add(matmul(h, self.w2), self.b2)
+        return dense(x, self.layers)

@@ -52,7 +52,6 @@ from .checkpoint import load_named
 from .encoder import MLP, ConvEncoder, EncoderConfig
 from .hallucinator import (
     ExtrapolationConfig,
-    HallucinatorParams,
     extrapolate,
     hallucinate,
     init_hallucinator,
@@ -242,11 +241,10 @@ class _FrameworkBase:
         enc_cfg.validate()
         cfg.validate()
         self.cfg = cfg
-        d = enc_cfg.feature_dim
-        self.hall: HallucinatorParams | None = None
+        self.hall: list[tuple[Parameter, Parameter]] = []
         if cfg.hallucinator:
             self.hall = init_hallucinator(
-                d, cfg.hallucinator_layers, substream(seed, "hallucinator")
+                enc_cfg.feature_dim, cfg.hallucinator_layers, substream(seed, "hallucinator")
             )
 
     # -- shared hooks -------------------------------------------------
@@ -300,7 +298,7 @@ class _FrameworkBase:
     # -- helpers ------------------------------------------------------
 
     def _hall_params(self) -> list[Parameter]:
-        return self.hall.parameters() if self.hall is not None else []
+        return [p for layer in self.hall for p in layer]
 
     def _mix(self, plain: Tensor, extra: Tensor) -> Tensor:
         w = self.cfg.pair_weight
@@ -324,9 +322,10 @@ class _FrameworkBase:
 class MoCoFramework(_FrameworkBase):
     """Momentum key encoder plus a FIFO queue of past key features.
 
-    The key encoder starts as an exact copy of the query encoder and is
-    never touched by the optimizer; ``after_update`` blends it toward the
-    freshly updated query weights and enqueues the step's key features.
+    The key encoder is built from the query encoder's seed substream, so it
+    starts as an exact copy, and is never touched by the optimizer;
+    ``after_update`` blends it toward the freshly updated query weights and
+    enqueues the step's key features.
     """
 
     name = "moco"
@@ -338,7 +337,6 @@ class MoCoFramework(_FrameworkBase):
                                  prefix="query")
         self.key = ConvEncoder(enc_cfg, in_size, substream(seed, "encoder"),
                                prefix="key")
-        self.key.copy_from(self.query)
         self.queue = FeatureQueue(cfg.queue_size, enc_cfg.feature_dim)
 
     @property

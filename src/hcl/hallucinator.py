@@ -11,8 +11,11 @@ successive linear layers (none after the last).  With n = 0 layers the
 head is parameter-free and passes the extrapolated vector through
 unchanged, so the module degenerates to pure extrapolation.
 
-The head is ordinary tape machinery: its parameters receive gradients
-from the contrastive loss like any encoder weight.
+The head is a list of (weight, bias) layers built by
+`encoder.dense_layers` and applied by `encoder.dense`, the same code as
+the encoder's projector and SimSiam's predictor: ordinary tape machinery
+whose parameters receive gradients from the contrastive loss like any
+encoder weight.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, ShapeMismatchError, Tensor, add, concat, matmul, multiply, relu
+from .encoder import dense, dense_layers
+from .tensor import Parameter, ShapeMismatchError, Tensor, add, concat, multiply
 
 # Named lambda-range presets: "wide" won the range ablation and is the
 # default; "narrow" is the conservative small-perturbation setting.
@@ -86,67 +90,25 @@ def extrapolate(q: Tensor, k: Tensor, lam) -> Tensor:
     return add(multiply(q, one_plus), multiply(k, neg))
 
 
-class HallucinatorParams:
-    """The learnable head: n linear layers over the concatenated (q, q').
-
-    Layer widths are 2d -> 2d -> ... -> 2d -> d; hidden width 2d is a
-    documented choice.  n = 0 means no parameters at all.
-    """
-
-    def __init__(self, feature_dim: int, layers: list[tuple[Parameter, Parameter]]):
-        self.feature_dim = feature_dim
-        self.layers = layers
-        self._check_widths()
-
-    def _check_widths(self) -> None:
-        d = self.feature_dim
-        if not self.layers:
-            return
-        if self.layers[0][0].shape[0] != 2 * d:
-            raise ValueError(f"hallucinator: first layer must take width {2*d}")
-        if self.layers[-1][0].shape[1] != d:
-            raise ValueError(f"hallucinator: last layer must emit width {d}")
-
-    @property
-    def n(self) -> int:
-        return len(self.layers)
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for w, b in self.layers:
-            out.extend([w, b])
-        return out
-
-
-def init_hallucinator(d: int, n: int, rng: np.random.Generator) -> HallucinatorParams:
-    """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases."""
+def init_hallucinator(d: int, n: int, rng: np.random.Generator) -> list[tuple[Parameter, Parameter]]:
+    """The head's n layers, widths 2d -> 2d -> ... -> 2d -> d (hidden width
+    2d is a documented choice): Xavier-uniform weights, zero biases, and
+    no layers at all for n = 0."""
     if d < 1 or n < 0:
         raise ValueError(f"init_hallucinator: need d >= 1 and n >= 0, got d={d} n={n}")
-    widths = [2 * d] * n + [d] if n >= 1 else []
-    layers = []
-    for i in range(n):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = Parameter(rng.uniform(-bound, bound, (fan_in, fan_out)), name=f"hall.layer{i}.w")
-        b = Parameter(np.zeros(fan_out), name=f"hall.layer{i}.b")
-        layers.append((w, b))
-    return HallucinatorParams(d, layers)
+    return dense_layers([2 * d] * n + [d], [f"hall.layer{i}" for i in range(n)], rng)
 
 
-def hallucinate(q: Tensor, q_prime: Tensor, params: HallucinatorParams) -> Tensor:
+def hallucinate(q: Tensor, q_prime: Tensor, layers: list[tuple[Parameter, Parameter]]) -> Tensor:
     """Map (q, q') rows to hallucinated rows; (B, d) in, (B, d) out.
 
-    n = 0 returns q' unchanged (pure extrapolation); n >= 1 applies the
-    linear/ReLU stack to concat(q, q').  Output is unnormalized; the
-    framework normalizes before any loss.
+    No layers returns q' unchanged (pure extrapolation); otherwise the
+    linear/ReLU stack runs on concat(q, q'), whose width the first layer
+    must take.  Output is unnormalized; the framework normalizes before
+    any loss.
     """
-    if q.shape != q_prime.shape or q.data.ndim != 2 or q.shape[1] != params.feature_dim:
+    if q.shape != q_prime.shape or q.data.ndim != 2:
         raise ShapeMismatchError("hallucinate", q.shape, q_prime.shape)
-    if params.n == 0:
+    if not layers:
         return q_prime
-    h = concat([q, q_prime], axis=-1)
-    for i, (w, b) in enumerate(params.layers):
-        h = add(matmul(h, w), b)
-        if i < params.n - 1:
-            h = relu(h)
-    return h
+    return dense(concat([q, q_prime], axis=-1), layers)

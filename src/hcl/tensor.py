@@ -48,13 +48,14 @@ rule every op's backward already relies on when it reads a parent's
 `data`: no op output is mutated after creation, and Parameters change
 only in the optimizer step, after backward.  Backward frees the rest
 layer by layer as it walks back, so the step peaks in backward at what
-forward held plus one stage's rebuilt `colsT` and gradient buffers, and
-leaves only the parameters' gradients and whatever the caller still
-holds.  Importing this module on glibc raises malloc's mmap and
-trim thresholds (`mallopt`) for the whole process, so the multi-MB
-arrays a step frees stay in the heap and are reused by the next step
-instead of being unmapped and faulted in again as fresh zeroed pages.
-Other libcs are left alone.
+forward held plus one stage's gradient buffers and the larger of its
+rebuilt `colsT` and the bias sum's (F, N*Ho*Wo) `cumsum` temporary, which
+is made after `colsT` is freed.  It leaves only the parameters' gradients
+and whatever the caller still holds.  Importing this module on glibc
+raises malloc's mmap and trim thresholds (`mallopt`) for the whole
+process, so the multi-MB arrays a step frees stay in the heap and are
+reused by the next step instead of being unmapped and faulted in again
+as fresh zeroed pages.  Other libcs are left alone.
 """
 
 from __future__ import annotations
@@ -479,31 +480,6 @@ def _col2im(gcolsT: np.ndarray, x_shape, kh: int, kw: int, p: int, ho: int, wo: 
     return gxpT[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3)
 
 
-_ROW_BLOCK = 1024
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Each row of 2-D `a` summed left to right: the bits of
-    `np.cumsum(a, axis=1)[:, -1]`, without its full-size temporary.
-
-    Transposed blocks of `_ROW_BLOCK` columns are reduced over their outer
-    axis, which numpy adds one row at a time; the previous blocks' sums
-    are added into each block's first row.  A block must be at least 2
-    wide, or numpy sums its single column pairwise, so a one-row `a` gets
-    a spare column.  The reduction starts from -0.0, not numpy's 0.0:
-    -0.0 + x is x for every x, so a row of -0.0 keeps its sign.
-    """
-    r, m = a.shape
-    buf = np.zeros((min(m, _ROW_BLOCK), max(r, 2)))
-    acc = -0.0
-    for s in range(0, m, _ROW_BLOCK):
-        blk = buf[: min(_ROW_BLOCK, m - s)]
-        blk[:, :r] = a[:, s : s + _ROW_BLOCK].T
-        blk[0] += acc
-        acc = np.add.reduce(blk, axis=0, initial=-0.0)
-    return acc[:r]
-
-
 def _pool2x2(a: np.ndarray) -> np.ndarray:
     """2-by-2 window means over the last two axes, as
     ((x00 + x01) + (x10 + x11)) * 0.25: two paired adds, then one scale."""
@@ -582,9 +558,9 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     of each window with the mask multiplied in, rebuilds `colsT` from
     `x.data` for the weight GEMM and frees it, then runs conv2d's other
     GEMM and col2im on that (F, N*Ho*Wo) gradient.  The bias gradient
-    sums each row left to right, as conv2d does, in blocks (`_row_sums`).
-    The bits equal those of upsampling, masking in place and a saved
-    `colsT`.
+    sums each row left to right, as conv2d does: the last column of its
+    `cumsum`, taken after `colsT` is freed.  The bits equal those of
+    upsampling, masking in place and a saved `colsT`.
     """
     n, f, kh, kw, p, ho, wo = _conv_geometry("conv_relu_pool", x, w, b, padding)
     if ho % 2 or wo % 2:
@@ -611,7 +587,7 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
         colsT = _im2col(x.data, kh, kw, p, ho, wo)
         w._accumulate((colsT @ gT.T).T.reshape(w.shape))
         del colsT
-        b._accumulate(_row_sums(gT))
+        b._accumulate(np.cumsum(gT, axis=1)[:, -1])
         if x.requires_grad:
             x._accumulate(_col2im(wmat.T @ gT, x.shape, kh, kw, p, ho, wo))
 

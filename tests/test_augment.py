@@ -577,6 +577,19 @@ class TestAugmentMemory:
             tracemalloc.stop()
         assert peak < 4.5 * tap, peak / tap
 
+    def test_to_unit_float_batch_copies_a_float_batch_once(self):
+        # The unrounded floats of `eval_view`'s resize are transposed and
+        # scaled with one copy, the result; copying the transposed view
+        # before the cast holds two.
+        views = np.random.default_rng(0).uniform(0.0, 255.0, (128, 32, 32, 3))
+        tracemalloc.start()
+        try:
+            out = to_unit_float_batch(views)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * out.nbytes, peak / out.nbytes
+
 
 # ---- the hue round trip on pixels the synthetic data rarely holds ----------
 

@@ -216,8 +216,8 @@ class TestEncode:
 
     def test_zero_projector_surfaces_normalization_error(self):
         enc = ConvEncoder(ENC8, 8, np.random.default_rng(4))
-        enc.fc2_w.data[...] = 0.0
-        enc.fc2_b.data[...] = 0.0
+        for p in enc.projector[-1]:
+            p.data[...] = 0.0
         out = enc.forward(Tensor(np.random.default_rng(5).random((2, 3, 8, 8))))
         assert np.all(out.data == 0.0)
         with pytest.raises(ValueError, match="zero vector"):
@@ -396,10 +396,11 @@ class TestSimSiam:
         fw = _small("simsiam", hallucinator=False)
         d = ENC8.feature_dim
         pred = MLP(d, 2 * d, d, np.random.default_rng(0), prefix="pred")
-        pred.w1.data[...] = np.hstack([np.eye(d), -np.eye(d)])
-        pred.b1.data[...] = 0.0
-        pred.w2.data[...] = np.vstack([np.eye(d), -np.eye(d)])
-        pred.b2.data[...] = 0.0
+        (w1, b1), (w2, b2) = pred.layers
+        w1.data[...] = np.hstack([np.eye(d), -np.eye(d)])
+        b1.data[...] = 0.0
+        w2.data[...] = np.vstack([np.eye(d), -np.eye(d)])
+        b2.data[...] = 0.0
         fw.predictor = pred
         x = _batch(np.random.default_rng(9))
         loss, diag, _ = fw.forward_loss(x, x, None)

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hcl.config import config_from_dict
+from hcl.encoder import dense_layers
 from hcl.gradcheck import check_parameter_gradients, finite_difference_check
 from hcl.hallucinator import (
     RANGE_PRESETS,
     ExtrapolationConfig,
-    HallucinatorParams,
     extrapolate,
     hallucinate,
     init_hallucinator,
     sample_lambda,
 )
 from hcl.rng import substream
-from hcl.tensor import Parameter, ShapeMismatchError, Tensor, mean, multiply
+from hcl.tensor import ShapeMismatchError, Tensor, mean, multiply
 
 
 class TestExtrapolationConfig:
@@ -139,19 +139,19 @@ class TestExtrapolate:
 
 class TestInitHallucinator:
     def test_zero_layers_empty(self):
-        params = init_hallucinator(8, 0, np.random.default_rng(0))
-        assert params.n == 0
-        assert params.parameters() == []
+        assert init_hallucinator(8, 0, np.random.default_rng(0)) == []
 
     def test_three_layer_widths_for_d64(self):
         params = init_hallucinator(64, 3, np.random.default_rng(1))
-        shapes = [w.shape for w, _ in params.layers]
+        shapes = [w.shape for w, _ in params]
         assert shapes == [(128, 128), (128, 128), (128, 64)]
-        assert all(b.shape == (w.shape[1],) for w, b in params.layers)
+        assert all(b.shape == (w.shape[1],) for w, b in params)
+        assert [p.name for layer in params for p in layer] == [
+            f"hall.layer{i}.{kind}" for i in range(3) for kind in "wb"]
 
     def test_biases_zero_weights_bounded(self):
         params = init_hallucinator(16, 2, np.random.default_rng(2))
-        for w, b in params.layers:
+        for w, b in params:
             assert np.all(b.data == 0.0)
             fan_in, fan_out = w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -167,7 +167,7 @@ class TestInitHallucinator:
     def test_seeded_construction_deterministic(self):
         a = init_hallucinator(8, 2, substream(11, "hallucinator"))
         b = init_hallucinator(8, 2, substream(11, "hallucinator"))
-        for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
+        for (wa, ba), (wb, bb) in zip(a, b, strict=True):
             assert np.array_equal(wa.data, wb.data)
             assert np.array_equal(ba.data, bb.data)
 
@@ -182,9 +182,8 @@ class TestHallucinate:
 
     def test_n1_identity_on_first_half(self):
         d = 5
-        w = Parameter(np.vstack([np.eye(d), np.zeros((d, d))]), name="w")
-        b = Parameter(np.zeros(d), name="b")
-        params = HallucinatorParams(d, [(w, b)])
+        params = dense_layers([2 * d, d], ["head"], np.random.default_rng(0))
+        params[0][0].data[...] = np.vstack([np.eye(d), np.zeros((d, d))])
         rng = np.random.default_rng(1)
         q = Tensor(rng.standard_normal((1, d)))
         qp = Tensor(rng.standard_normal((1, d)))
@@ -252,23 +251,24 @@ class TestHallucinate:
             out = hallucinate(Tensor(q0), Tensor(p0), params)
             return mean(multiply(out, out))
 
-        assert check_parameter_gradients(theta_loss, params.parameters()) < 1e-4
+        flat = [p for layer in params for p in layer]
+        assert check_parameter_gradients(theta_loss, flat) < 1e-4
 
     def test_parameters_update_under_sgd(self):
         from hcl.train import SGD
 
         params = init_hallucinator(4, 2, np.random.default_rng(9))
-        before = [w.data.copy() for w, _ in params.layers]
+        before = [w.data.copy() for w, _ in params]
         rng = np.random.default_rng(10)
         q = Tensor(rng.standard_normal((3, 4)))
         qp = Tensor(rng.standard_normal((3, 4)))
-        opt = SGD(params.parameters(), momentum=0.0, weight_decay=0.0)
+        opt = SGD([p for layer in params for p in layer], momentum=0.0, weight_decay=0.0)
         opt.zero_grad()
         out = hallucinate(q, qp, params)
         mean(multiply(out, out)).backward()
         opt.step(lr=0.1)
         assert any(
-            not np.array_equal(w.data, prev) for (w, _), prev in zip(params.layers, before)
+            not np.array_equal(w.data, prev) for (w, _), prev in zip(params, before)
         )
 
 

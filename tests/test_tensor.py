@@ -779,27 +779,3 @@ def test_broadcast_gradients_sum_over_broadcast_axes(data, out_shape):
             assert t.grad.shape == t.shape
             assert np.array_equal(t.grad, _sum_to(g * np.broadcast_to(local, out_shape), t.shape))
 
-
-_BLOCK = hcl.tensor._ROW_BLOCK
-_ROW_KINDS = {
-    "negative zeros": lambda rng, m: np.full(m, -0.0),
-    # cancellations between 1e300 and 1e-300 make the sum order-dependent
-    "mixed magnitudes": lambda rng, m: rng.choice([1e300, -1e300, 1e-300, -1e-300, 1.0, -0.0], m),
-    "normal": lambda rng, m: rng.normal(size=m) * 10.0 ** rng.integers(-8, 8, m),
-}
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(kinds=st.lists(st.sampled_from(sorted(_ROW_KINDS)), min_size=1, max_size=4),
-       width=st.one_of(st.just(1), st.integers(2, _BLOCK - 1),
-                       st.integers(1, 2).map(lambda k: k * _BLOCK),
-                       st.integers(1, 2).map(lambda k: k * _BLOCK + 1)),
-       seed=st.integers(0, 2**32 - 1))
-def test_row_sums_match_cumsum_bits(kinds, width, seed):
-    """`conv_relu_pool`'s bias gradient sums each row left to right in
-    blocks: the bits of the last column of `np.cumsum`, signed zeros
-    included, at widths 1, below the block, and at and just past whole
-    blocks.  A pairwise sum rounds mixed magnitudes differently."""
-    rng = np.random.default_rng(seed)
-    a = np.stack([_ROW_KINDS[k](rng, width) for k in kinds])
-    assert hcl.tensor._row_sums(a).tobytes() == np.cumsum(a, axis=1)[:, -1].tobytes()

@@ -22,6 +22,10 @@ It builds, in a temporary directory and at seed 1:
   fixed batch of color blocks that the synthetic data rarely reaches:
   exact channel-max ties, grays (span 0), black, white, the hue sector
   edges k/6, and reds whose hue a shift carries across 0 and 1.
+- `init/state`: every recipe's `state_arrays()` at the desk config as
+  built, before any step: one digest over each recipe's array names, in
+  sorted order, and bytes, so a change to how a head or encoder is
+  initialised shows here (~0.1 s).
 
 It prints them as JSON.  With ``--check`` it compares them against the
 reference below, names every entry that differs, and exits 1 if any does.
@@ -50,6 +54,7 @@ from hcl import cli, metrics  # noqa: E402
 from hcl.augment import AugmentConfig, augment_batch  # noqa: E402
 from hcl.config import config_from_dict  # noqa: E402
 from hcl.data import generate_synthetic, load_cifar_batch  # noqa: E402
+from hcl.frameworks import build_framework  # noqa: E402
 from hcl.gradcheck import op_gradcheck_suite  # noqa: E402
 from hcl.rng import substream  # noqa: E402
 from hcl.train import extract_features, load_pretrained, pretrain  # noqa: E402
@@ -144,6 +149,8 @@ REFERENCE = {
         "4031702abaaffd519ea7d542fbae2b64402f6562cab194e4a70c6343efdd6a15",
     "augment/adversarial":
         "e1d835326750515900b6203fc8ef3baff6a631b6a6ae157fab5bc6943ebf7b65",
+    "init/state":
+        "ef0b1cecfff21510b8c17e982d0529392ae5d19e222c6f4f61ff4b6617953a39",
 }
 
 
@@ -223,6 +230,19 @@ def _op_suite() -> bytes:
                    for name, err in op_gradcheck_suite(seed=0).items()).encode()
 
 
+def _init_state() -> bytes:
+    """Each recipe's label and array names, sorted, and each array's bytes,
+    as `build_framework` leaves them at the desk config."""
+    parts = []
+    for fw, hall in RECIPES:
+        cfg = _config(DESK, fw, hall)
+        arrays = build_framework(fw, cfg.encoder, cfg.augment.out_size,
+                                 cfg.framework_config(), cfg.seed).state_arrays()
+        label = f"{fw}.hall-{'on' if hall else 'off'}"
+        parts += [f"{label}/{name}\n".encode() + arrays[name].tobytes() for name in sorted(arrays)]
+    return b"".join(parts)
+
+
 def compute(work: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     paths = {name: _data(work, name, base["data"])
@@ -245,6 +265,7 @@ def compute(work: Path) -> dict[str, str]:
     _eval_unit(work, paths["desk"], out)
     out["gradcheck/op_suite"] = _sha(_op_suite())
     out["augment/adversarial"] = _sha(_adversarial_views())
+    out["init/state"] = _sha(_init_state())
     return out
 
 
