@@ -52,8 +52,9 @@ import numpy as np
 from .data import hsv_to_rgb, wrap_unit
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
-# Bounds of the log-uniform crop aspect ratio (width / height).
-ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
+# Bounds of the log-uniform crop aspect ratio (width / height), 3/4 to
+# 4/3, as their logs: the bounds of the uniform draw.
+LOG_ASPECT_RANGE = (np.log(3.0 / 4.0), np.log(4.0 / 3.0))
 
 
 class CropRegion(NamedTuple):
@@ -145,17 +146,16 @@ def _draw_crop(h: int, w: int, cfg: AugmentConfig, rng: np.random.Generator) -> 
     """Random crop of an h x w source with a Beta-placed center.
 
     Crop area fraction is uniform over [scale_min, scale_max] with
-    log-uniform aspect ratio in ASPECT_RANGE; after 10 rejected size
+    log-uniform aspect ratio in LOG_ASPECT_RANGE; after 10 rejected size
     attempts the crop falls back to the largest centered square.  The crop
     center is placed at Beta(alpha, alpha) draws mapped over the feasible
     center range of each axis.
     """
     area = float(h * w)
     ch = cw = 0
-    log_lo, log_hi = np.log(ASPECT_RANGE[0]), np.log(ASPECT_RANGE[1])
     for _ in range(10):
         target = area * rng.uniform(cfg.scale_min, cfg.scale_max)
-        ratio = float(np.exp(rng.uniform(log_lo, log_hi)))
+        ratio = float(np.exp(rng.uniform(*LOG_ASPECT_RANGE)))
         tw = int(round(np.sqrt(target * ratio)))
         th = int(round(np.sqrt(target / ratio)))
         if 1 <= tw <= w and 1 <= th <= h:

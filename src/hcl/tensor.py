@@ -20,8 +20,9 @@ closure and `requires_grad=False`.  Forward-only passes (MoCo's key encoder,
 stop-gradient targets, feature extraction) use it, so each op's working
 buffers (conv2d's `colsT` and padded input, earlier activations) are
 freed as soon as the next op has read them rather than when the pass
-returns; `conv_relu_pool` keeps nothing, freeing its `colsT` right after
-the GEMM, as it does under the tape, and building no relu mask.
+returns; `conv_relu_pool` keeps nothing and builds no relu mask, and,
+as under the tape, holds one image chunk's `colsT` and conv output at a
+time, so its peak is one chunk's, not the batch's.
 `backward()` on such an output raises the empty-tape error.
 
 Finiteness invariant: every op builds its output through `_make`, which
@@ -42,11 +43,15 @@ RuntimeWarning before that error.
 Memory: at the end of forward a training step holds every activation
 and saved buffer; per encoder stage, `conv_relu_pool` holds a 1-byte
 relu mask and its pooled output, and no `colsT`, conv or relu output.
-Its backward rebuilds `colsT` from the stage input, which the node holds
-as its parent, and frees it before col2im.  That re-read rests on the
-rule every op's backward already relies on when it reads a parent's
-`data`: no op output is mutated after creation, and Parameters change
-only in the optimizer step, after backward.  Backward frees the rest
+Its forward builds those one image chunk at a time (`_images_per_chunk`,
+~2 MiB of `colsT`), so it peaks at one chunk's `colsT` plus its conv
+output, beside the mask and pooled output it is filling.  Its backward
+is not chunked: it rebuilds the whole batch's `colsT` from the stage
+input, which the node holds as its parent, and frees it before col2im.
+That re-read rests on the rule every op's backward already relies on
+when it reads a parent's `data`: no op output is mutated after
+creation, and Parameters change only in the optimizer step, after
+backward.  Backward frees the rest
 layer by layer as it walks back, so the step peaks in backward at what
 forward held plus one stage's gradient buffers and the larger of its
 rebuilt `colsT` and the bias sum's (F, N*Ho*Wo) `cumsum` temporary, which
@@ -61,6 +66,7 @@ as fresh zeroed pages.  Other libcs are left alone.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from contextlib import contextmanager
 from typing import Sequence
@@ -75,6 +81,11 @@ _M_MMAP_THRESHOLD = -3
 # in backward, and its gradient twin) is ~19 MB.
 _MMAP_THRESHOLD = 32 * 1024 * 1024
 _TRIM_THRESHOLD = 256 * 1024 * 1024
+# `conv_relu_pool`'s forward runs over as many images at a time as keep
+# their `colsT` within this many bytes, in whole multiples of this many
+# GEMM columns (see `_images_per_chunk`).
+_CHUNK_COLS_BYTES = 2 * 1024 * 1024
+_CHUNK_COLS_ALIGN = 64
 
 
 def _retain_heap() -> None:
@@ -489,6 +500,18 @@ def _pool2x2(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _images_per_chunk(rows: int, ho: int, wo: int) -> int:
+    """Images per chunk of `conv_relu_pool`'s forward: as many as keep a
+    (rows, n*Ho*Wo) `colsT` within `_CHUNK_COLS_BYTES`, rounded down to
+    a multiple of `_CHUNK_COLS_ALIGN` columns, but at least one multiple.
+    BLAS kernels round a product's last columns modulo their unroll
+    width in their own way; starting every chunk on such a multiple runs
+    each column through the kernel the whole-batch GEMM would use."""
+    unit = math.lcm(ho * wo, _CHUNK_COLS_ALIGN) // (ho * wo)
+    fit = _CHUNK_COLS_BYTES // (rows * ho * wo * 8)
+    return max(unit, fit - fit % unit)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -> Tensor:
     """Direct 2-D convolution (cross-correlation), NCHW layout.
 
@@ -548,10 +571,17 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     """One encoder stage, `avg_pool2d(relu(conv2d(x, w, b, padding=padding)))`,
     as one op with the same bits.
 
-    NCHW in, NCHW out; the conv output extents must be even.  The conv
-    output stays channel-major (F, N*Ho*Wo) from the GEMM through the
-    bias, the in-place relu and the pool; only the quarter-size pooled
-    output is transposed to NCHW.  `colsT` is freed right after the GEMM.
+    NCHW in, NCHW out; the conv output extents must be even.  Forward
+    runs over the batch in image chunks (`_images_per_chunk`): each
+    chunk's `_im2col`, GEMM, bias, in-place relu, mask and pool, with its
+    conv output channel-major (F, n*Ho*Wo) throughout and only its
+    quarter-size pooled rows transposed into the NCHW output.  `colsT`
+    is freed right after each GEMM, and the output is allocated once the
+    first chunk's conv output is freed, so the forward peaks at one
+    chunk's `colsT` plus its conv output.  The GEMM reduces over C*kh*kw,
+    never over positions, chunks start on the whole GEMM's kernel
+    boundaries, and pool windows never cross images, so the bits are
+    those of one whole-batch pass.
     Under the tape the op keeps a 1-byte relu mask (pre-activation > 0)
     and no conv or relu output; without a tape it builds no mask.
     Backward writes the width-doubled rows of `g * 0.25` into both rows
@@ -560,22 +590,32 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     GEMM and col2im on that (F, N*Ho*Wo) gradient.  The bias gradient
     sums each row left to right, as conv2d does: the last column of its
     `cumsum`, taken after `colsT` is freed.  The bits equal those of
-    upsampling, masking in place and a saved `colsT`.
+    upsampling, masking in place and a saved `colsT`.  Backward runs on
+    the whole batch: its weight GEMM reduces over all positions.
     """
     n, f, kh, kw, p, ho, wo = _conv_geometry("conv_relu_pool", x, w, b, padding)
     if ho % 2 or wo % 2:
         raise ShapeMismatchError("conv_relu_pool", x.shape, w.shape, (2, 2))
-    colsT = _im2col(x.data, kh, kw, p, ho, wo)
     wmat = w.data.reshape(f, -1)
-    out = wmat @ colsT
-    # backward rebuilds colsT from x.data (module docstring, "Memory")
-    del colsT
-    out += b.data[:, None]
-    np.maximum(out, 0.0, out=out)
-    mask = out > 0.0 if _tape else None
-    pooled = _pool2x2(out.reshape(f, n, ho, wo))
-    del out
-    data = np.ascontiguousarray(pooled.transpose(1, 0, 2, 3))
+    step = _images_per_chunk(wmat.shape[1], ho, wo)
+    mask = np.empty((f, n, ho, wo), dtype=bool) if _tape else None
+    data = None
+    for i in range(0, max(n, 1), step):  # an empty batch takes one empty pass
+        xs = x.data[i : i + step]
+        colsT = _im2col(xs, kh, kw, p, ho, wo)
+        out = wmat @ colsT
+        # backward rebuilds colsT from x.data (module docstring, "Memory")
+        del colsT
+        out += b.data[:, None]
+        np.maximum(out, 0.0, out=out)
+        out = out.reshape(f, len(xs), ho, wo)
+        if _tape:
+            np.greater(out, 0.0, out=mask[:, i : i + len(xs)])
+        pooled = _pool2x2(out)
+        del out
+        if data is None:  # after the conv output is freed, not beside it
+            data = np.empty((n, f, ho // 2, wo // 2))
+        data[i : i + len(xs)] = pooled.transpose(1, 0, 2, 3)
 
     def backward(g):
         # width-doubled rows of g * 0.25, masked into both rows of each

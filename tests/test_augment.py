@@ -42,7 +42,7 @@ def _rand_image(rng, h=32, w=32):
 @pytest.fixture
 def square_crops(monkeypatch):
     """Pin the crop aspect ratio to 1."""
-    monkeypatch.setattr(hcl.augment, "ASPECT_RANGE", (1.0, 1.0))
+    monkeypatch.setattr(hcl.augment, "LOG_ASPECT_RANGE", (0.0, 0.0))
 
 
 class TestCenterCrop:
@@ -327,8 +327,7 @@ def _ref_center_suppressed_crop(img, cfg, rng):
     ch = cw = 0
     for _ in range(10):
         target = area * rng.uniform(cfg.scale_min, cfg.scale_max)
-        aspect = hcl.augment.ASPECT_RANGE
-        log_lo, log_hi = np.log(aspect[0]), np.log(aspect[1])
+        log_lo, log_hi = hcl.augment.LOG_ASPECT_RANGE
         ratio = float(np.exp(rng.uniform(log_lo, log_hi)))
         tw = int(round(np.sqrt(target * ratio)))
         th = int(round(np.sqrt(target / ratio)))
@@ -479,13 +478,14 @@ class TestBatchedPipelineOracle:
         {"blur_prob": 1.0},
         {"flip_prob": 1.0},
         {"jitter_strength": 0.0},  # fh == 0: the hue step is skipped
-        {"ASPECT_RANGE": (10.0, 20.0)},  # every size attempt fails: fallback crop
+        # every size attempt fails: fallback crop
+        {"LOG_ASPECT_RANGE": (np.log(10.0), np.log(20.0))},
         {"grayscale_prob": 1.0, "blur_prob": 1.0, "flip_prob": 1.0, "p": 1.0},
     ])
     def test_forced_branches(self, overrides, monkeypatch):
         overrides = dict(overrides)
-        if "ASPECT_RANGE" in overrides:
-            monkeypatch.setattr(hcl.augment, "ASPECT_RANGE", overrides.pop("ASPECT_RANGE"))
+        if "LOG_ASPECT_RANGE" in overrides:
+            monkeypatch.setattr(hcl.augment, "LOG_ASPECT_RANGE", overrides.pop("LOG_ASPECT_RANGE"))
         cfg = AugmentConfig(out_size=16, **overrides)
         for seed in range(6):
             rng = np.random.default_rng(seed)
@@ -536,7 +536,7 @@ class TestBatchedPipelineOracle:
                 assert np.array_equal(view, ref), (h, w)
 
     def test_fallback_crop_is_centered_square(self, monkeypatch):
-        monkeypatch.setattr(hcl.augment, "ASPECT_RANGE", (10.0, 20.0))
+        monkeypatch.setattr(hcl.augment, "LOG_ASPECT_RANGE", (np.log(10.0), np.log(20.0)))
         cfg = AugmentConfig(out_size=8)
         img = _rand_image(np.random.default_rng(41), h=24, w=40)
         region, _ = center_suppressed_crop(img, cfg, np.random.default_rng(42))

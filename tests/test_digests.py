@@ -1,9 +1,9 @@
 """The fast entries of `tools/digests.py` against its committed reference.
 
 The full check (`PYTHONPATH=src python3 tools/digests.py --check`) trains
-every recipe; these three entries take under 1 s and pin the augmentation
-pipeline's bytes, every op's gradcheck error and every recipe's freshly
-built weights.
+every recipe; these four entries take under 1 s and pin the augmentation
+pipeline's bytes, every op's gradcheck error, every recipe's freshly
+built weights and the chunked encoder stage's forward and backward.
 """
 
 import importlib.util
@@ -29,6 +29,7 @@ def digests():
 
 @pytest.mark.parametrize("entry, build", [("augment/adversarial", "_adversarial_views"),
                                           ("gradcheck/op_suite", "_op_suite"),
-                                          ("init/state", "_init_state")])
+                                          ("init/state", "_init_state"),
+                                          ("tensor/stage_chunks", "_stage_chunks")])
 def test_entry_matches_reference(digests, entry, build):
     assert digests._sha(getattr(digests, build)()) == digests.REFERENCE[entry]

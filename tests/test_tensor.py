@@ -322,6 +322,38 @@ class TestConvReluPoolOracle:
         g = rng.normal(size=(n, f, side // 2, side // 2))
         _assert_stage_matches_composition(x, w, rng.normal(size=f), 1, g)
 
+    @pytest.mark.parametrize("c,side,f,batch", [
+        (3, 32, 16, "chunks"), (3, 32, 16, "one"),
+        (8, 6, 8, "chunks"),  # 36 positions per image: 16-image multiples
+    ])
+    def test_bitwise_across_image_chunks(self, c, side, f, batch):
+        """Two full image chunks and a smaller last one, and a lone image:
+        the forward's per-chunk GEMMs and pools keep the whole batch's bits."""
+        per_chunk = hcl.tensor._images_per_chunk(c * 9, side, side)
+        n = 2 * per_chunk + max(1, per_chunk // 4) if batch == "chunks" else 1
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, c, side, side))
+        w = rng.normal(size=(f, c, 3, 3))
+        b = rng.normal(size=f)
+        g = rng.normal(size=(n, f, side // 2, side // 2))
+        got = _stage_with_grads(True, x, w, b, 1, g)
+        want = _stage_with_grads(False, x, w, b, 1, g)
+        for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
+            if name == "gw" and n == 1:
+                # backward's weight GEMM, which is not chunked, takes the
+                # gradient transposed; at one image BLAS rounds that
+                # product differently from conv2d's
+                assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max()
+            else:
+                assert np.array_equal(a, e), name
+        assert np.array_equal(_stage_without_tape(True, x, w, b, 1), got[0])
+
+    def test_empty_batch_gives_empty_output(self):
+        x, w, b = Tensor(np.ones((0, 3, 8, 8))), Tensor(np.ones((4, 3, 3, 3))), Tensor(np.ones(4))
+        with no_tape():
+            free = conv_relu_pool(x, w, b, padding=1)
+        assert conv_relu_pool(x, w, b, padding=1).shape == free.shape == (0, 4, 4, 4)
+
     @pytest.mark.parametrize(
         "k,padding,n,c,f",
         [(k, p, n, c, f) for k, p in itertools.product((1, 2, 3), (0, 1, 2))
@@ -657,6 +689,22 @@ class TestTapeRelease:
             tracemalloc.stop()
         assert live <= conv_bytes / 4 + 4096  # the pooled output alone
         assert peak <= cols_bytes + conv_bytes + conv_bytes / 8
+
+    def test_conv_relu_pool_without_tape_peaks_at_one_chunk(self):
+        # desk stage 1 at batch 64: colsT (14.2 MB) and the conv output
+        # (8.4 MB) are built one image chunk at a time, never whole
+        x, w, b = self._stage(5, 64, 3, 16)
+        m = 64 * 32 * 32
+        cols_bytes, conv_bytes = 3 * 9 * m * 8, 16 * m * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_tape():
+                conv_relu_pool(x, w, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (cols_bytes + conv_bytes) / 3
 
 
 def _small_encoder(seed=0):

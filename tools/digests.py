@@ -26,6 +26,10 @@ It builds, in a temporary directory and at seed 1:
   built, before any step: one digest over each recipe's array names, in
   sorted order, and bytes, so a change to how a head or encoder is
   initialised shows here (~0.1 s).
+- `tensor/stage_chunks`: `conv_relu_pool` at the desk encoder's first two
+  stage shapes at batch 20, which `hcl.tensor` runs in several image
+  chunks with a smaller last one: the no-tape and taped outputs and the
+  gradients of the input, weights and bias (~0.1 s).
 
 It prints them as JSON.  With ``--check`` it compares them against the
 reference below, names every entry that differs, and exits 1 if any does.
@@ -57,6 +61,7 @@ from hcl.data import generate_synthetic, load_cifar_batch  # noqa: E402
 from hcl.frameworks import build_framework  # noqa: E402
 from hcl.gradcheck import op_gradcheck_suite  # noqa: E402
 from hcl.rng import substream  # noqa: E402
+from hcl.tensor import Tensor, conv_relu_pool, multiply, no_tape, sum_  # noqa: E402
 from hcl.train import extract_features, load_pretrained, pretrain  # noqa: E402
 
 SEED = 1
@@ -151,6 +156,8 @@ REFERENCE = {
         "e1d835326750515900b6203fc8ef3baff6a631b6a6ae157fab5bc6943ebf7b65",
     "init/state":
         "ef0b1cecfff21510b8c17e982d0529392ae5d19e222c6f4f61ff4b6617953a39",
+    "tensor/stage_chunks":
+        "f8987b7e577a7721152e306fe262425e6de46d1e2b13b8e27b0a4495448681ab",
 }
 
 
@@ -243,6 +250,24 @@ def _init_state() -> bytes:
     return b"".join(parts)
 
 
+def _stage_chunks() -> bytes:
+    """`conv_relu_pool` forward (without, then with a tape) and backward
+    at batch 20 on the (3 -> 16, 32 px) and (16 -> 32, 16 px) stages."""
+    rng = np.random.default_rng(SEED)
+    parts = []
+    for c, side, f in ((3, 32, 16), (16, 16, 32)):
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((20, c, side, side), (f, c, 3, 3), (f,)))
+        g = Tensor(rng.normal(size=(20, f, side // 2, side // 2)))
+        with no_tape():
+            parts.append(conv_relu_pool(x, w, b, padding=1).data.tobytes())
+        out = conv_relu_pool(x, w, b, padding=1)
+        parts.append(out.data.tobytes())
+        sum_(multiply(out, g)).backward()
+        parts += [x.grad.tobytes(), w.grad.tobytes(), b.grad.tobytes()]
+    return b"".join(parts)
+
+
 def compute(work: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     paths = {name: _data(work, name, base["data"])
@@ -266,6 +291,7 @@ def compute(work: Path) -> dict[str, str]:
     out["gradcheck/op_suite"] = _sha(_op_suite())
     out["augment/adversarial"] = _sha(_adversarial_views())
     out["init/state"] = _sha(_init_state())
+    out["tensor/stage_chunks"] = _sha(_stage_chunks())
     return out
 
 
