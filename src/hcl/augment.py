@@ -17,7 +17,11 @@ Views are made in two phases.  The draw phase runs per sample and takes
 every random number from that sample's generator, in a fixed order:
 crop of view 1, crop of view 2, transforms of view 1, transforms of
 view 2.  No draw depends on pixel values, so the draws alone fix the
-views.  They come out as two arrays: a (V, 5) box array, one row
+views.  `augment_batch` reads each generator in blocks of doubles
+(`_BlockDraws`) and makes the draws from them in Python float
+arithmetic, with the bits of one generator call per draw; the
+generators passed in are spent, left past doubles no draw used.  The
+draws come out as two arrays: a (V, 5) box array, one row
 (image, top, left, crop_h, crop_w) per view, and a (V, 7) draw array,
 one row (fb, fc, fs, fh, gray, sigma, flip) per view.  The pixel phase
 then works on all views of a batch at once.  Crops and evaluation
@@ -54,7 +58,11 @@ from .data import hsv_to_rgb, wrap_unit
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 # Bounds of the log-uniform crop aspect ratio (width / height), 3/4 to
 # 4/3, as their logs: the bounds of the uniform draw.
-LOG_ASPECT_RANGE = (np.log(3.0 / 4.0), np.log(4.0 / 3.0))
+LOG_ASPECT_RANGE = (float(np.log(3.0 / 4.0)), float(np.log(4.0 / 3.0)))
+# Doubles `augment_batch` reads from a sample's generator at a time.  A
+# sample at the default config uses ~31 (p99 40), so few read a second
+# block.
+_DRAW_BLOCK = 40
 
 
 class CropRegion(NamedTuple):
@@ -149,15 +157,17 @@ def _draw_crop(h: int, w: int, cfg: AugmentConfig, rng: np.random.Generator) -> 
     log-uniform aspect ratio in LOG_ASPECT_RANGE; after 10 rejected size
     attempts the crop falls back to the largest centered square.  The crop
     center is placed at Beta(alpha, alpha) draws mapped over the feasible
-    center range of each axis.
+    center range of each axis.  Like `sample_beta` and `_draw_transforms`
+    it calls only ``rng.random()`` and ``rng.uniform()``, so ``rng`` may
+    also be a `_BlockDraws`.
     """
     area = float(h * w)
     ch = cw = 0
     for _ in range(10):
         target = area * rng.uniform(cfg.scale_min, cfg.scale_max)
         ratio = float(np.exp(rng.uniform(*LOG_ASPECT_RANGE)))
-        tw = int(round(np.sqrt(target * ratio)))
-        th = int(round(np.sqrt(target / ratio)))
+        tw = round(math.sqrt(target * ratio))
+        th = round(math.sqrt(target / ratio))
         if 1 <= tw <= w and 1 <= th <= h:
             ch, cw = th, tw
             break
@@ -166,7 +176,7 @@ def _draw_crop(h: int, w: int, cfg: AugmentConfig, rng: np.random.Generator) -> 
         return CropRegion((h - side) // 2, (w - side) // 2, side, side)
     u = sample_beta(cfg.alpha, rng)
     v = sample_beta(cfg.alpha, rng)
-    return CropRegion(int(round(u * (h - ch))), int(round(v * (w - cw))), ch, cw)
+    return CropRegion(round(u * (h - ch)), round(v * (w - cw)), ch, cw)
 
 
 def _draw_transforms(cfg: AugmentConfig, rng: np.random.Generator) -> tuple:
@@ -187,6 +197,33 @@ def _draw_transforms(cfg: AugmentConfig, rng: np.random.Generator) -> tuple:
     sigma = rng.uniform(0.1, 2.0) if rng.random() < cfg.blur_prob else 0.0
     flip = rng.random() < cfg.flip_prob
     return fb, fc, fs, fh, gray, sigma, flip
+
+
+class _BlockDraws:
+    """The ``random()`` and ``uniform(lo, hi)`` draws of a generator, read
+    from it `_DRAW_BLOCK` doubles at a time as a Python list.
+
+    ``rng.random(n)`` gives the doubles of n ``rng.random()`` calls, and
+    ``Generator.uniform`` computes lo + (hi - lo) * random(), so every
+    draw has the generator's own bits.  The generator is left past the
+    last block read, which may hold doubles no draw used.
+    """
+
+    __slots__ = ("_rng", "_block")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = iter(())
+
+    def random(self) -> float:
+        u = next(self._block, None)
+        if u is None:
+            self._block = iter(self._rng.random(_DRAW_BLOCK).tolist())
+            u = next(self._block)
+        return u
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
 
 
 # ---- pixel phase -----------------------------------------------------------
@@ -386,7 +423,9 @@ def augment_batch(images: np.ndarray, cfg: AugmentConfig,
     Sample i takes all its draws from rngs[i], so its views depend only
     on (images[i], rngs[i]): view 1 from the centered sub-image, view 2
     from the full image (or from the sub-image too when
-    center_crop_both is set).
+    center_crop_both is set).  The draws are read from each generator in
+    blocks (`_BlockDraws`), so a generator passed in is spent: it may be
+    left past doubles that no draw used.
     """
     cfg.validate()
     if images.ndim != 4 or images.shape[3] != 3 or images.dtype != np.uint8:
@@ -399,10 +438,11 @@ def augment_batch(images: np.ndarray, cfg: AugmentConfig,
     outer = inner if cfg.center_crop_both else CropRegion(0, 0, h, w)
     boxes, draws = [], []
     for i, rng in enumerate(rngs):
+        draw = _BlockDraws(rng)
         for src in (inner, outer):
-            top, left, ch, cw = _draw_crop(src.crop_h, src.crop_w, cfg, rng)
+            top, left, ch, cw = _draw_crop(src.crop_h, src.crop_w, cfg, draw)
             boxes.append((i, src.top + top, src.left + left, ch, cw))
-        draws += [_draw_transforms(cfg, rng), _draw_transforms(cfg, rng)]
+        draws += [_draw_transforms(cfg, draw), _draw_transforms(cfg, draw)]
     cropped = _to_uint8(_resample(images / 255.0, np.array(boxes), cfg.out_size))
     views = _to_uint8(_photometric(cropped, np.array(draws)))
     return views[0::2], views[1::2]

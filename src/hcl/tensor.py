@@ -569,7 +569,12 @@ def avg_pool2d(x: Tensor) -> Tensor:
 
 def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     """One encoder stage, `avg_pool2d(relu(conv2d(x, w, b, padding=padding)))`,
-    as one op with the same bits.
+    as one op.  Its output and its input and bias gradients have the bits
+    of that composition.  Its weight gradient has them at the training
+    batches (64 and 32 images), but may differ in the last bits at small
+    batches: its GEMM takes the (F, N*Ho*Wo) gradient transposed, and
+    BLAS rounds that layout differently from conv2d's below some size
+    (the chunk-bits test compares it within 1e-12 at one image).
 
     NCHW in, NCHW out; the conv output extents must be even.  Forward
     runs over the batch in image chunks (`_images_per_chunk`): each
@@ -591,7 +596,8 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     sums each row left to right, as conv2d does: the last column of its
     `cumsum`, taken after `colsT` is freed.  The bits equal those of
     upsampling, masking in place and a saved `colsT`.  Backward runs on
-    the whole batch: its weight GEMM reduces over all positions.
+    the whole batch: its weight GEMM reduces over all positions.  On an
+    empty batch it gives zero weight and bias gradients.
     """
     n, f, kh, kw, p, ho, wo = _conv_geometry("conv_relu_pool", x, w, b, padding)
     if ho % 2 or wo % 2:
@@ -627,7 +633,8 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
         colsT = _im2col(x.data, kh, kw, p, ho, wo)
         w._accumulate((colsT @ gT.T).T.reshape(w.shape))
         del colsT
-        b._accumulate(np.cumsum(gT, axis=1)[:, -1])
+        # an empty batch has no last column: its bias gradient is zero
+        b._accumulate(np.cumsum(gT, axis=1)[:, -1] if n else np.zeros(f))
         if x.requires_grad:
             x._accumulate(_col2im(wmat.T @ gT, x.shape, kh, kw, p, ho, wo))
 

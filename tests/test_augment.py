@@ -558,6 +558,36 @@ class TestBatchedPipelineOracle:
             augment_batch(images, AugmentConfig(), rngs)
 
 
+class TestBlockDraws:
+    """`augment_batch` reads each generator in blocks of doubles; the
+    views are those of one generator call per draw, whatever the block."""
+
+    def test_refilled_blocks_match_reference(self, monkeypatch):
+        # Every crop attempt rejects: 2 x 10 x 2 crop doubles and at least
+        # 2 x 7 transform doubles per sample, so each reads a second block.
+        monkeypatch.setattr(hcl.augment, "LOG_ASPECT_RANGE", (np.log(10.0), np.log(20.0)))
+        assert 2 * 10 * 2 + 2 * 7 > hcl.augment._DRAW_BLOCK
+        cfg = AugmentConfig(out_size=16, scale_min=1.0, scale_max=1.0)
+        for seed in range(3):
+            rng = np.random.default_rng(50 + seed)
+            images = np.stack([_rand_image(rng) for _ in range(8)])
+            _assert_batch_matches_reference(images, cfg, seed)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_views_do_not_depend_on_block_size(self, block, monkeypatch):
+        cfg = AugmentConfig()
+        rng = np.random.default_rng(51)
+        images = np.stack([_rand_image(rng) for _ in range(64)])
+
+        def views():
+            return augment_batch(images, cfg, [substream(3, "augment", 0, i) for i in range(64)])
+
+        want = views()
+        monkeypatch.setattr(hcl.augment, "_DRAW_BLOCK", block)
+        for a, e in zip(views(), want):
+            assert np.array_equal(a, e)
+
+
 class TestAugmentMemory:
     def test_desk_batch_peak_stays_under_four_and_a_half_taps(self):
         # One tap array is one bilinear corner of every view as float64:

@@ -4,6 +4,7 @@ The full check (`PYTHONPATH=src python3 tools/digests.py --check`) trains
 every recipe; these four entries take under 1 s and pin the augmentation
 pipeline's bytes, every op's gradcheck error, every recipe's freshly
 built weights and the chunked encoder stage's forward and backward.
+`gradcheck/framework_suite` (~13 s) is left to the full check.
 """
 
 import importlib.util

@@ -354,6 +354,14 @@ class TestConvReluPoolOracle:
             free = conv_relu_pool(x, w, b, padding=1)
         assert conv_relu_pool(x, w, b, padding=1).shape == free.shape == (0, 4, 4, 4)
 
+    def test_empty_batch_backward_gives_zero_parameter_gradients(self):
+        x, w, b = (Tensor(np.ones(s), requires_grad=True)
+                   for s in ((0, 3, 8, 8), (4, 3, 3, 3), (4,)))
+        sum_(conv_relu_pool(x, w, b, padding=1)).backward()
+        assert x.grad.shape == (0, 3, 8, 8)
+        assert np.array_equal(w.grad, np.zeros((4, 3, 3, 3)))
+        assert np.array_equal(b.grad, np.zeros(4))
+
     @pytest.mark.parametrize(
         "k,padding,n,c,f",
         [(k, p, n, c, f) for k, p in itertools.product((1, 2, 3), (0, 1, 2))

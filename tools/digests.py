@@ -18,6 +18,9 @@ It builds, in a temporary directory and at seed 1:
 - `op_gradcheck_suite(seed=0)`: one digest over every entry's name and
   error as `float.hex`, so a backward rewrite that moves one bit of an
   op's gradient shows here (~0.1 s);
+- `framework_gradcheck_suite()`: the same over every recipe's loss with
+  the hallucinator on and off, the other half of the acceptance gate's
+  gradient check (~13 s);
 - `augment/adversarial`: `augment_batch` at `out_size` 32 and 16 on a
   fixed batch of color blocks that the synthetic data rarely reaches:
   exact channel-max ties, grays (span 0), black, white, the hue sector
@@ -59,7 +62,7 @@ from hcl.augment import AugmentConfig, augment_batch  # noqa: E402
 from hcl.config import config_from_dict  # noqa: E402
 from hcl.data import generate_synthetic, load_cifar_batch  # noqa: E402
 from hcl.frameworks import build_framework  # noqa: E402
-from hcl.gradcheck import op_gradcheck_suite  # noqa: E402
+from hcl.gradcheck import framework_gradcheck_suite, op_gradcheck_suite  # noqa: E402
 from hcl.rng import substream  # noqa: E402
 from hcl.tensor import Tensor, conv_relu_pool, multiply, no_tape, sum_  # noqa: E402
 from hcl.train import extract_features, load_pretrained, pretrain  # noqa: E402
@@ -152,6 +155,8 @@ REFERENCE = {
         "aab9a95d2fc3368f0e3015b7648ea9b77cfc6c122ee96a0f314b3df20e60678f",
     "gradcheck/op_suite":
         "4031702abaaffd519ea7d542fbae2b64402f6562cab194e4a70c6343efdd6a15",
+    "gradcheck/framework_suite":
+        "d10429d142b137c12f4fac69c773cc50c69e97a8aee1bc7b8ad01eb1a7149c02",
     "augment/adversarial":
         "e1d835326750515900b6203fc8ef3baff6a631b6a6ae157fab5bc6943ebf7b65",
     "init/state":
@@ -230,11 +235,13 @@ def _adversarial_views() -> bytes:
     return views
 
 
+def _suite_lines(errors: dict[str, float]) -> bytes:
+    """Each gradcheck entry's name and error as `float.hex`, one line each."""
+    return "".join(f"{name} {err.hex()}\n" for name, err in errors.items()).encode()
+
+
 def _op_suite() -> bytes:
-    """Each `op_gradcheck_suite(seed=0)` entry's name and error as
-    `float.hex`, one line each."""
-    return "".join(f"{name} {err.hex()}\n"
-                   for name, err in op_gradcheck_suite(seed=0).items()).encode()
+    return _suite_lines(op_gradcheck_suite(seed=0))
 
 
 def _init_state() -> bytes:
@@ -289,6 +296,7 @@ def compute(work: Path) -> dict[str, str]:
     out["quickstart/moco.hall-on/encode_view_pairs"] = _sha(fa.tobytes() + fb.tobytes())
     _eval_unit(work, paths["desk"], out)
     out["gradcheck/op_suite"] = _sha(_op_suite())
+    out["gradcheck/framework_suite"] = _sha(_suite_lines(framework_gradcheck_suite()))
     out["augment/adversarial"] = _sha(_adversarial_views())
     out["init/state"] = _sha(_init_state())
     out["tensor/stage_chunks"] = _sha(_stage_chunks())
