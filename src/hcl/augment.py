@@ -24,20 +24,28 @@ generators passed in are spent, left past doubles no draw used.  The
 draws come out as two arrays: a (V, 5) box array, one row
 (image, top, left, crop_h, crop_w) per view, and a (V, 7) draw array,
 one row (fb, fc, fs, fh, gray, sigma, flip) per view.  The pixel phase
-then works on all views of a batch at once.  Crops and evaluation
-resizes share one bilinear resampler, `_resample`, which gathers each
-tap of every view in one call and combines each row of taps as soon as
-it is gathered; each photometric step is a broadcast over views (or
-over the masked views it applies to), and blur runs once per kernel
-radius.  The hue shift's HSV round trip runs planar: one contiguous
-(3, V, h, w) copy of its views, so every step works on stride-1 planes,
-with buffers reused and selections made by masked writes rather than
-`np.where`/`np.choose`.
+then runs over the batch in equal chunks of pairs (`_pairs_per_chunk`),
+one more than the whole `_VIEW_CHUNK_BYTES` (1 MiB) its float64 views
+fill, so a desk batch (64 pairs, 32 px, 3 MiB) runs as 4 chunks of 16
+and a quickstart batch (32 pairs, 16 px) as one.  The chunk size
+follows from the view size and the batch size alone.  Each chunk scales
+only its own images to unit floats, resamples, rounds, runs the
+photometric steps and rounds again into its rows of one preallocated
+uint8 batch, so the whole batch's float views never coexist.  Crops and
+evaluation resizes share one bilinear resampler, `_resample`, which
+gathers each tap of every view in one call and combines each row of
+taps as soon as it is gathered; each photometric step is a broadcast
+over views (or over the masked views it applies to), and blur runs once
+per kernel radius.  The hue shift's HSV round trip runs planar: one
+contiguous (3, V, h, w) copy of its views, so every step works on
+stride-1 planes, with buffers reused and selections made by masked
+writes rather than `np.where`/`np.choose`.
 Its ``% 1.0`` is computed as x - floor(x), which is bit-identical on
 every finite double (`hcl.data.wrap_unit`) and ~8x cheaper than numpy's
 float ``%``.  Per element the pixel phase does the same arithmetic in
 the same order as a view-by-view pipeline, so a view's bytes do not
-depend on the batch it was made in.
+depend on the batch it was made in, nor on the chunk: chunking cannot
+move a byte.
 
 A batch is one (B, h, w, 3) uint8 array, such as a slice of a dataset's
 ``image`` column, so all its images share one size; a single image is an
@@ -63,6 +71,9 @@ LOG_ASPECT_RANGE = (float(np.log(3.0 / 4.0)), float(np.log(4.0 / 3.0)))
 # sample at the default config uses ~31 (p99 40), so few read a second
 # block.
 _DRAW_BLOCK = 40
+# Bytes of float64 views (V, S, S, 3) that `augment_batch`'s pixel phase
+# works on at a time (see `_pairs_per_chunk`).
+_VIEW_CHUNK_BYTES = 1024 * 1024
 
 
 class CropRegion(NamedTuple):
@@ -235,6 +246,15 @@ def _bilinear_taps(n: np.ndarray, out: int):
     pos = np.clip((np.arange(out) + 0.5) * (n / out) - 0.5, 0.0, n - 1.0)
     i0 = np.floor(pos).astype(np.int64)
     return i0, np.minimum(i0 + 1, n - 1), pos - i0
+
+
+def _pairs_per_chunk(pairs: int, out_size: int) -> int:
+    """Pairs per chunk of `augment_batch`'s pixel phase: the batch's
+    float64 views split into 1 + (their bytes // `_VIEW_CHUNK_BYTES`)
+    equal chunks, at most one per pair; the last may be smaller."""
+    view_bytes = out_size * out_size * 3 * 8
+    chunks = min(pairs, 1 + 2 * pairs * view_bytes // _VIEW_CHUNK_BYTES)
+    return -(-pairs // chunks)
 
 
 def _to_uint8(x: np.ndarray) -> np.ndarray:
@@ -425,7 +445,11 @@ def augment_batch(images: np.ndarray, cfg: AugmentConfig,
     from the full image (or from the sub-image too when
     center_crop_both is set).  The draws are read from each generator in
     blocks (`_BlockDraws`), so a generator passed in is spent: it may be
-    left past doubles that no draw used.
+    left past doubles that no draw used.  The pixel phase then runs one
+    chunk of pairs at a time (`_pairs_per_chunk`), each chunk's images
+    divided by 255 alone and its boxes' image column re-based to them,
+    into one preallocated (2B, S, S, 3) uint8 array whose even rows are
+    the first views and odd rows the second.
     """
     cfg.validate()
     if images.ndim != 4 or images.shape[3] != 3 or images.dtype != np.uint8:
@@ -443,8 +467,16 @@ def augment_batch(images: np.ndarray, cfg: AugmentConfig,
             top, left, ch, cw = _draw_crop(src.crop_h, src.crop_w, cfg, draw)
             boxes.append((i, src.top + top, src.left + left, ch, cw))
         draws += [_draw_transforms(cfg, draw), _draw_transforms(cfg, draw)]
-    cropped = _to_uint8(_resample(images / 255.0, np.array(boxes), cfg.out_size))
-    views = _to_uint8(_photometric(cropped, np.array(draws)))
+    boxes, draws = np.array(boxes), np.array(draws)
+    pairs, size = len(images), cfg.out_size
+    views = np.empty((2 * pairs, size, size, 3), dtype=np.uint8)
+    step = _pairs_per_chunk(pairs, size)
+    for lo in range(0, pairs, step):
+        hi = min(lo + step, pairs)
+        rows = slice(2 * lo, 2 * hi)
+        cropped = _to_uint8(_resample(images[lo:hi] / 255.0, boxes[rows] - (lo, 0, 0, 0, 0),
+                                      size))
+        views[rows] = _to_uint8(_photometric(cropped, draws[rows]))
     return views[0::2], views[1::2]
 
 

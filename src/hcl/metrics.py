@@ -43,7 +43,10 @@ def uniformity(features: np.ndarray, t: float = 2.0,
     """Mean exp(-t ||u_i - u_j||^2) over all distinct unordered row pairs.
 
     Rows are normalized internally.  Work proceeds in blocks so memory
-    stays O(block * n) regardless of n.
+    stays O(block * n) regardless of n.  Each block's potential is made
+    in place in its GEMM output, as exp(-t * clip(-2 s + 2, 0)): the bits
+    of exp(-t * clip(2 - 2 s, 0)), since -(2 s) = -2 s, a - b = a + (-b)
+    in IEEE arithmetic, and products commute.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
@@ -55,8 +58,12 @@ def uniformity(features: np.ndarray, t: float = 2.0,
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         # squared distance via the normalized-feature identity 2 - 2 u.v
-        sims = u[lo:hi] @ u.T
-        g = np.exp(-t * np.clip(2.0 - 2.0 * sims, 0.0, None))
+        g = u[lo:hi] @ u.T
+        g *= -2.0
+        g += 2.0
+        np.clip(g, 0.0, None, out=g)
+        g *= -t
+        np.exp(g, out=g)
         rows = np.arange(lo, hi)
         g[rows - lo, rows] = 0.0  # drop self pairs
         total += float(g.sum())

@@ -44,7 +44,7 @@ Memory: at the end of forward a training step holds every activation
 and saved buffer; per encoder stage, `conv_relu_pool` holds a 1-byte
 relu mask and its pooled output, and no `colsT`, conv or relu output.
 Its forward builds those one image chunk at a time (`_images_per_chunk`,
-~2 MiB of `colsT`), so it peaks at one chunk's `colsT` plus its conv
+~1 MiB of `colsT`), so it peaks at one chunk's `colsT` plus its conv
 output, beside the mask and pooled output it is filling.  Its backward
 is not chunked: it rebuilds the whole batch's `colsT` from the stage
 input, which the node holds as its parent, and frees it before col2im.
@@ -84,7 +84,7 @@ _TRIM_THRESHOLD = 256 * 1024 * 1024
 # `conv_relu_pool`'s forward runs over as many images at a time as keep
 # their `colsT` within this many bytes, in whole multiples of this many
 # GEMM columns (see `_images_per_chunk`).
-_CHUNK_COLS_BYTES = 2 * 1024 * 1024
+_CHUNK_COLS_BYTES = 1024 * 1024
 _CHUNK_COLS_ALIGN = 64
 
 
@@ -502,8 +502,9 @@ def _pool2x2(a: np.ndarray) -> np.ndarray:
 
 def _images_per_chunk(rows: int, ho: int, wo: int) -> int:
     """Images per chunk of `conv_relu_pool`'s forward: as many as keep a
-    (rows, n*Ho*Wo) `colsT` within `_CHUNK_COLS_BYTES`, rounded down to
-    a multiple of `_CHUNK_COLS_ALIGN` columns, but at least one multiple.
+    (rows, n*Ho*Wo) `colsT` within `_CHUNK_COLS_BYTES` (1 MiB), rounded
+    down to a multiple of `_CHUNK_COLS_ALIGN` columns, but at least one
+    multiple: 4, 3 and 7 images at the desk encoder's three stages.
     BLAS kernels round a product's last columns modulo their unroll
     width in their own way; starting every chunk on such a multiple runs
     each column through the kernel the whole-batch GEMM would use."""
@@ -593,8 +594,10 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     of each window with the mask multiplied in, rebuilds `colsT` from
     `x.data` for the weight GEMM and frees it, then runs conv2d's other
     GEMM and col2im on that (F, N*Ho*Wo) gradient.  The bias gradient
-    sums each row left to right, as conv2d does: the last column of its
-    `cumsum`, taken after `colsT` is freed.  The bits equal those of
+    sums each row as conv2d does, after `colsT` is freed: left to right
+    (the last column of its `cumsum`) at F >= 2, where conv2d adds its
+    (N*Ho*Wo, F) rows one by one, and pairwise (the row's `sum`) at
+    F = 1, where conv2d sums one contiguous column.  The bits equal those of
     upsampling, masking in place and a saved `colsT`.  Backward runs on
     the whole batch: its weight GEMM reduces over all positions.  On an
     empty batch it gives zero weight and bias gradients.
@@ -633,8 +636,13 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
         colsT = _im2col(x.data, kh, kw, p, ho, wo)
         w._accumulate((colsT @ gT.T).T.reshape(w.shape))
         del colsT
-        # an empty batch has no last column: its bias gradient is zero
-        b._accumulate(np.cumsum(gT, axis=1)[:, -1] if n else np.zeros(f))
+        # conv2d sums one (N*Ho*Wo, 1) column pairwise, as `sum` does, and
+        # wider rows left to right; an empty batch has no last column and
+        # sums to zero
+        if f == 1 or not n:
+            b._accumulate(gT.sum(axis=1))
+        else:
+            b._accumulate(np.cumsum(gT, axis=1)[:, -1])
         if x.requires_grad:
             x._accumulate(_col2im(wmat.T @ gT, x.shape, kh, kw, p, ho, wo))
 

@@ -588,7 +588,69 @@ class TestBlockDraws:
             assert np.array_equal(a, e)
 
 
+class TestPixelChunks:
+    """The pixel phase runs in chunks of pairs whose size follows from
+    the views' bytes; whatever the chunks, the views keep their bytes."""
+
+    @staticmethod
+    def _views(pairs, out_size):
+        images = make_synthetic_records(10, 7, 0)["image"][:pairs]
+        if out_size != 32:
+            images = images[:, :out_size, :out_size]
+        cfg = AugmentConfig(out_size=out_size)
+        return augment_batch(images, cfg, [substream(4, "chunks", i) for i in range(pairs)])
+
+    @pytest.mark.parametrize("pairs, out_size", [(64, 32), (32, 16)])
+    @pytest.mark.parametrize("chunk", ["one pair", "seven, uneven last", "single"])
+    def test_chunks_keep_the_unchunked_bytes(self, pairs, out_size, chunk, monkeypatch):
+        monkeypatch.setattr(hcl.augment, "_VIEW_CHUNK_BYTES", 2**62)
+        assert hcl.augment._pairs_per_chunk(pairs, out_size) == pairs
+        want = self._views(pairs, out_size)
+        total = 2 * pairs * out_size * out_size * 3 * 8  # the batch's float64 views
+        # 1 + total // budget chunks: ceil(pairs / 7) of them hold 7 pairs
+        # and leave a smaller last one; a budget the views fit under is one
+        budget, step = {"one pair": (1, 1),
+                        "seven, uneven last": (total // (-(-pairs // 7) - 1), 7),
+                        "single": (total + 1, pairs)}[chunk]
+        monkeypatch.setattr(hcl.augment, "_VIEW_CHUNK_BYTES", budget)
+        assert hcl.augment._pairs_per_chunk(pairs, out_size) == step
+        assert step != 7 or pairs % step  # a smaller last chunk
+        for got, exp in zip(self._views(pairs, out_size), want):
+            assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("pairs, out_size, calls", [(32, 16, 1), (64, 32, 4)])
+    def test_chunk_count_follows_the_view_bytes(self, pairs, out_size, calls, monkeypatch):
+        # quickstart's batch (32 pairs, 16 px) stays one chunk; a desk or
+        # eval batch (64 pairs, 32 px) runs as 4 chunks of 16
+        sizes = []
+        resample = hcl.augment._resample
+
+        def counted(pixels, boxes, size):
+            sizes.append(len(pixels))
+            return resample(pixels, boxes, size)
+
+        monkeypatch.setattr(hcl.augment, "_resample", counted)
+        self._views(pairs, out_size)
+        assert sizes == [pairs // calls] * calls
+
+
 class TestAugmentMemory:
+    def test_desk_batch_peak_stays_under_one_and_a_half_taps(self):
+        # The pixel phase holds one chunk of 16 pairs (a quarter of the
+        # batch's taps) at a time, beside the uint8 views it fills; a whole
+        # batch at once peaks near 4 taps.
+        tap = 128 * 32 * 32 * 3 * 8
+        images = make_synthetic_records(10, 7, 0)["image"][:64]
+        cfg = AugmentConfig()
+        augment_batch(images, cfg, [substream(0, "peak", i) for i in range(64)])
+        tracemalloc.start()
+        try:
+            augment_batch(images, cfg, [substream(0, "peak", i) for i in range(64)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tap, peak / tap
+
     def test_desk_batch_peak_stays_under_four_and_a_half_taps(self):
         # One tap array is one bilinear corner of every view as float64:
         # (128, 32, 32, 3) at the desk shape, ~3.1 MB.  The resampler keeps

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hcl.metrics
 import hcl.train
@@ -38,7 +41,43 @@ def _brute_force_g(features, t):
     return float(np.mean(vals))
 
 
+def _uniformity_out_of_place(features, t, block):
+    """`uniformity`'s value with each block's potential made out of place,
+    exp(-t * clip(2 - 2 u.v, 0)), as a fresh array per step."""
+    u = features / np.linalg.norm(features, axis=1, keepdims=True)
+    n = len(u)
+    total = 0.0
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        g = np.exp(-t * np.clip(2.0 - 2.0 * (u[lo:hi] @ u.T), 0.0, None))
+        rows = np.arange(lo, hi)
+        g[rows - lo, rows] = 0.0
+        total += float(g.sum())
+    return total / (2.0 * (n * (n - 1) // 2))
+
+
+@st.composite
+def _features_with_duplicates(draw):
+    """(n, d) features with no zero row, some rows repeated exactly."""
+    n, d = draw(st.integers(2, 24)), draw(st.integers(1, 6))
+    # grid values repeat directions and land exactly on u.v = 1
+    elements = st.one_of(st.integers(-8, 8).map(lambda k: k / 4),
+                         st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    x[:, 0] = np.where(np.abs(x).sum(axis=1) == 0.0, 1.0, x[:, 0])
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    for src, dst in copies:
+        x[dst] = x[src]
+    return x
+
+
 class TestUniformity:
+    @settings(max_examples=100, deadline=None)
+    @given(_features_with_duplicates(), st.sampled_from([0.5, 2.0, 7.3]), st.integers(1, 30))
+    def test_in_place_blocks_equal_the_out_of_place_formula(self, features, t, block):
+        got = uniformity(features, t=t, block=block).value
+        assert got == _uniformity_out_of_place(features, t, block)
+
     def test_zero_vector_error(self):
         with pytest.raises(ValueError, match="zero vector"):
             uniformity(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))

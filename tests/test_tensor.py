@@ -348,6 +348,19 @@ class TestConvReluPoolOracle:
                 assert np.array_equal(a, e), name
         assert np.array_equal(_stage_without_tape(True, x, w, b, 1), got[0])
 
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_one_channel_bias_gradient_bitwise(self, n):
+        """At F = 1 conv2d sums its (N*Ho*Wo, 1) gradient column pairwise,
+        not row by row; the fused bias gradient must sum it the same way."""
+        rng = np.random.default_rng(1000 + n)
+        x = rng.normal(size=(n, 3, 16, 16))
+        w = rng.normal(size=(1, 3, 3, 3))
+        b = rng.normal(size=1)
+        g = rng.normal(size=(n, 1, 8, 8))
+        got = _stage_with_grads(True, x, w, b, 1, g)
+        want = _stage_with_grads(False, x, w, b, 1, g)
+        assert np.array_equal(got[3], want[3])
+
     def test_empty_batch_gives_empty_output(self):
         x, w, b = Tensor(np.ones((0, 3, 8, 8))), Tensor(np.ones((4, 3, 3, 3))), Tensor(np.ones(4))
         with no_tape():

@@ -31,8 +31,9 @@ It builds, in a temporary directory and at seed 1:
   initialised shows here (~0.1 s).
 - `tensor/stage_chunks`: `conv_relu_pool` at the desk encoder's first two
   stage shapes at batch 20, which `hcl.tensor` runs in several image
-  chunks with a smaller last one: the no-tape and taped outputs and the
-  gradients of the input, weights and bias (~0.1 s).
+  chunks (5 of 4 images, and 6 of 3 with a last one of 2): the no-tape
+  and taped outputs and the gradients of the input, weights and bias
+  (~0.1 s).  The chunk size does not enter the bytes.
 
 It prints them as JSON.  With ``--check`` it compares them against the
 reference below, names every entry that differs, and exits 1 if any does.
