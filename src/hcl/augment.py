@@ -251,7 +251,10 @@ def _bilinear_taps(n: np.ndarray, out: int):
 def _pairs_per_chunk(pairs: int, out_size: int) -> int:
     """Pairs per chunk of `augment_batch`'s pixel phase: the batch's
     float64 views split into 1 + (their bytes // `_VIEW_CHUNK_BYTES`)
-    equal chunks, at most one per pair; the last may be smaller."""
+    equal chunks, at most one per pair; the last may be smaller.  An
+    empty batch gets 1, so the chunk loop runs no chunk."""
+    if not pairs:
+        return 1
     view_bytes = out_size * out_size * 3 * 8
     chunks = min(pairs, 1 + 2 * pairs * view_bytes // _VIEW_CHUNK_BYTES)
     return -(-pairs // chunks)

@@ -236,12 +236,8 @@ def _coerce_section(cls, name: str, raw: dict):
     _check_section(name, raw, {f.name: f.type for f in fields(cls)})
     kwargs = dict(raw)
     if cls is TrainSection and kwargs.get("preset") is not None:
-        preset = kwargs["preset"]
-        if preset not in TRAIN_PRESETS:
-            raise ConfigError(f"train.preset must be one of {sorted(TRAIN_PRESETS)}")
-        merged = dict(TRAIN_PRESETS[preset])
-        merged.update({k: v for k, v in kwargs.items() if k != "preset"})
-        kwargs = {"preset": preset, **merged}
+        # an unknown preset merges nothing; TrainSection.validate rejects it
+        kwargs = {**TRAIN_PRESETS.get(kwargs["preset"], {}), **kwargs}
     if cls is EncoderConfig and "channels" in kwargs:
         ch = kwargs["channels"]
         if not isinstance(ch, list) or not all(type(c) is int for c in ch):

@@ -53,10 +53,9 @@ when it reads a parent's `data`: no op output is mutated after
 creation, and Parameters change only in the optimizer step, after
 backward.  Backward frees the rest
 layer by layer as it walks back, so the step peaks in backward at what
-forward held plus one stage's gradient buffers and the larger of its
-rebuilt `colsT` and the bias sum's (F, N*Ho*Wo) `cumsum` temporary, which
-is made after `colsT` is freed.  It leaves only the parameters' gradients
-and whatever the caller still holds.  Importing this module on glibc
+forward held plus one stage's gradient buffers and its rebuilt `colsT`.
+It leaves only the parameters' gradients and whatever the caller still
+holds.  Importing this module on glibc
 raises malloc's mmap and trim thresholds (`mallopt`) for the whole
 process, so the multi-MB arrays a step frees stay in the heap and are
 reused by the next step instead of being unmapped and faulted in again
@@ -513,6 +512,22 @@ def _images_per_chunk(rows: int, ho: int, wo: int) -> int:
     return max(unit, fit - fit % unit)
 
 
+def _conv_backward(gmat: np.ndarray, cols: list, x: Tensor, w: Tensor, b: Tensor | None,
+                   p: int, ho: int, wo: int) -> None:
+    """The convolution backward of `conv2d` and `conv_relu_pool`, from the
+    (N*Ho*Wo, F) output-gradient rows `gmat` and the forward's `colsT`,
+    passed as the only item of `cols`: popped here, so it is freed right
+    after the weight GEMM and before its gradient twin is made.  The bias
+    gradient sums `gmat`'s rows; the input gradient is the other GEMM and
+    a col2im."""
+    w._accumulate((cols.pop() @ gmat).T.reshape(w.shape))
+    if b is not None:
+        b._accumulate(gmat.sum(axis=0))
+    if x.requires_grad:
+        wmat = w.data.reshape(len(w.data), -1)
+        x._accumulate(_col2im(wmat.T @ gmat.T, x.shape, *w.shape[2:], p, ho, wo))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -> Tensor:
     """Direct 2-D convolution (cross-correlation), NCHW layout.
 
@@ -539,13 +554,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -
     data = out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(g):
-        # (N*Ho*Wo, F) rows keep the bias reduction in its row-by-row order
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        w._accumulate((saved.pop() @ gmat).T.reshape(w.shape))
-        if b is not None:
-            b._accumulate(gmat.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(_col2im(wmat.T @ gmat.T, x.shape, kh, kw, p, ho, wo))
+        _conv_backward(gmat, saved, x, w, b, p, ho, wo)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward, "conv2d")
@@ -570,12 +580,8 @@ def avg_pool2d(x: Tensor) -> Tensor:
 
 def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     """One encoder stage, `avg_pool2d(relu(conv2d(x, w, b, padding=padding)))`,
-    as one op.  Its output and its input and bias gradients have the bits
-    of that composition.  Its weight gradient has them at the training
-    batches (64 and 32 images), but may differ in the last bits at small
-    batches: its GEMM takes the (F, N*Ho*Wo) gradient transposed, and
-    BLAS rounds that layout differently from conv2d's below some size
-    (the chunk-bits test compares it within 1e-12 at one image).
+    as one op, with the bits of that composition in its output and all
+    three gradients.
 
     NCHW in, NCHW out; the conv output extents must be even.  Forward
     runs over the batch in image chunks (`_images_per_chunk`): each
@@ -588,26 +594,21 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     never over positions, chunks start on the whole GEMM's kernel
     boundaries, and pool windows never cross images, so the bits are
     those of one whole-batch pass.
-    Under the tape the op keeps a 1-byte relu mask (pre-activation > 0)
-    and no conv or relu output; without a tape it builds no mask.
-    Backward writes the width-doubled rows of `g * 0.25` into both rows
-    of each window with the mask multiplied in, rebuilds `colsT` from
-    `x.data` for the weight GEMM and frees it, then runs conv2d's other
-    GEMM and col2im on that (F, N*Ho*Wo) gradient.  The bias gradient
-    sums each row as conv2d does, after `colsT` is freed: left to right
-    (the last column of its `cumsum`) at F >= 2, where conv2d adds its
-    (N*Ho*Wo, F) rows one by one, and pairwise (the row's `sum`) at
-    F = 1, where conv2d sums one contiguous column.  The bits equal those of
-    upsampling, masking in place and a saved `colsT`.  Backward runs on
-    the whole batch: its weight GEMM reduces over all positions.  On an
-    empty batch it gives zero weight and bias gradients.
+    Under the tape the op keeps a 1-byte relu mask (pre-activation > 0),
+    stored in (N, Ho, Wo, F) order, and no conv or relu output; without a
+    tape it builds no mask.  Backward writes the width-doubled rows of
+    `g * 0.25` into both rows of each window with the mask multiplied in,
+    straight into conv2d's (N*Ho*Wo, F) gradient rows, rebuilds `colsT`
+    from `x.data`, and runs conv2d's own backward (`_conv_backward`) on
+    the whole batch.  On an empty batch it gives zero weight and bias
+    gradients.
     """
     n, f, kh, kw, p, ho, wo = _conv_geometry("conv_relu_pool", x, w, b, padding)
     if ho % 2 or wo % 2:
         raise ShapeMismatchError("conv_relu_pool", x.shape, w.shape, (2, 2))
     wmat = w.data.reshape(f, -1)
     step = _images_per_chunk(wmat.shape[1], ho, wo)
-    mask = np.empty((f, n, ho, wo), dtype=bool) if _tape else None
+    mask = np.empty((n, ho, wo, f), dtype=bool) if _tape else None
     data = None
     for i in range(0, max(n, 1), step):  # an empty batch takes one empty pass
         xs = x.data[i : i + step]
@@ -619,7 +620,7 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
         np.maximum(out, 0.0, out=out)
         out = out.reshape(f, len(xs), ho, wo)
         if _tape:
-            np.greater(out, 0.0, out=mask[:, i : i + len(xs)])
+            np.greater(out, 0.0, out=mask[i : i + len(xs)].transpose(3, 0, 1, 2))
         pooled = _pool2x2(out)
         del out
         if data is None:  # after the conv output is freed, not beside it
@@ -627,24 +628,14 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
         data[i : i + len(xs)] = pooled.transpose(1, 0, 2, 3)
 
     def backward(g):
-        # width-doubled rows of g * 0.25, masked into both rows of each
-        # window: the bits of upsampling first and masking in place
-        gT = np.empty((f, n * ho * wo))
-        rows = np.repeat(g * 0.25, 2, axis=3).transpose(1, 0, 2, 3)[:, :, :, None, :]
-        np.multiply(rows, mask.reshape(f, n, ho // 2, 2, wo), out=gT.reshape(f, n, ho // 2, 2, wo))
+        # width-doubled rows of g * 0.25 masked into both rows of each
+        # window, written in conv2d's (N, Ho, Wo, F) gradient-row order
+        gmat = np.empty((n, ho // 2, 2, wo, f))
+        rows = np.repeat(g * 0.25, 2, axis=3).transpose(0, 2, 3, 1)[:, :, None]
+        np.multiply(rows, mask.reshape(gmat.shape), out=gmat)
         del rows
-        colsT = _im2col(x.data, kh, kw, p, ho, wo)
-        w._accumulate((colsT @ gT.T).T.reshape(w.shape))
-        del colsT
-        # conv2d sums one (N*Ho*Wo, 1) column pairwise, as `sum` does, and
-        # wider rows left to right; an empty batch has no last column and
-        # sums to zero
-        if f == 1 or not n:
-            b._accumulate(gT.sum(axis=1))
-        else:
-            b._accumulate(np.cumsum(gT, axis=1)[:, -1])
-        if x.requires_grad:
-            x._accumulate(_col2im(wmat.T @ gT, x.shape, kh, kw, p, ho, wo))
+        cols = [_im2col(x.data, kh, kw, p, ho, wo)]
+        _conv_backward(gmat.reshape(n * ho * wo, f), cols, x, w, b, p, ho, wo)
 
     return _make(data, (x, w, b), backward, "conv_relu_pool")
 

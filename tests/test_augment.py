@@ -618,6 +618,14 @@ class TestPixelChunks:
         for got, exp in zip(self._views(pairs, out_size), want):
             assert np.array_equal(got, exp)
 
+    @pytest.mark.parametrize("out_size", [16, 32])
+    def test_empty_batch_gives_empty_views(self, out_size):
+        views = augment_batch(np.zeros((0, 32, 32, 3), np.uint8),
+                              AugmentConfig(out_size=out_size), [])
+        assert len(views) == 2
+        for v in views:
+            assert v.shape == (0, out_size, out_size, 3) and v.dtype == np.uint8
+
     @pytest.mark.parametrize("pairs, out_size, calls", [(32, 16, 1), (64, 32, 4)])
     def test_chunk_count_follows_the_view_bytes(self, pairs, out_size, calls, monkeypatch):
         # quickstart's batch (32 pairs, 16 px) stays one chunk; a desk or

@@ -386,6 +386,12 @@ class TestPresets:
         with pytest.raises(ConfigError, match="train.preset"):
             config_from_dict({"train": {"preset": "galactic"}})
 
+    @pytest.mark.parametrize("train", [{"preset": "galactic"},
+                                       {"preset": "galactic", "batch_size": 8}])
+    def test_unknown_preset_names_the_choices(self, train):
+        with pytest.raises(ConfigError, match=r"train.preset must be one of \['desk', 'large'\]"):
+            config_from_dict({"train": train})
+
     def test_hallucinator_range_preset_wins_over_betas(self):
         cfg = config_from_dict(
             {"hallucinator": {"range": "narrow", "beta1": 0.3, "beta2": 0.9}}
