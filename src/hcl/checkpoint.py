@@ -67,6 +67,12 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{self.path}: {what} is not UTF-8 ({exc})") from None
+
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by :func:`save_checkpoint`."""
@@ -76,13 +82,18 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text(r.u32(), "array name")
+        if name in arrays:
+            raise ValueError(f"{path}: array {name!r} appears twice")
         ndim = r.u32()
         shape = tuple(r.u32() for _ in range(ndim))
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         data = np.frombuffer(r.take(count * 8), dtype="<f8").astype(np.float64)
         arrays[name] = data.reshape(shape)
-    meta = json.loads(r.take(r.u32()).decode("utf-8"))
+    try:
+        meta = json.loads(r.text(r.u32(), "metadata"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: metadata is not JSON ({exc})") from None
     if r.off != len(r.blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     return arrays, meta

@@ -23,19 +23,22 @@ extrapolation branch and exposes the same interface:
       momentum framework's ``queue.entries``), and the one restore path
       that checks every array, the queue too, before writing any.
 
-  feature_encoder
-      The encoder whose features downstream evaluation uses.
+  encoder / feature_encoder / trainable_parameters()
+      The one trained encoder, built by the base with the class's
+      ``encoder_prefix`` on its parameter names; evaluation uses it, and
+      the optimizer trains it and the hallucinator head.
 
   loss_closure(x1, x2, lambdas)
       The loss as a function of the weights alone, for finite differences;
       the stop-gradient framework holds its targets fixed in it.
 
-Keeping ``forward_loss`` pure lets the finite-difference gradient checker
-call it repeatedly without touching queues or momentum copies.  A new
-recipe is one subclass (its encoders, ``trainable_parameters`` and
-``forward_loss``) plus its entry in ``FRAMEWORKS``; a contrastive one
-supplies its normalized features and its loss head to ``_contrast``,
-which adds the hallucinated positive.  SimSiam keeps its own branch.
+Keeping ``forward_loss`` pure lets the finite-difference gradient
+checker call it repeatedly without touching queues or momentum copies.
+A new recipe is a subclass with its ``name`` and ``forward_loss`` (all
+SimCLR has), any second encoder or head (a trained head joins
+``trainable_parameters``, as SimSiam's predictor does) and an entry in
+``FRAMEWORKS``.  ``_contrast`` adds the hallucinated positive to a
+contrastive recipe's loss head; SimSiam keeps its own branch.
 
 MoCo's negatives sit in a ``FeatureQueue``: one read-only array of past
 keys, oldest first, replaced on each push and shape-checked by ``load``.
@@ -235,10 +238,13 @@ def _row_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 class _FrameworkBase:
     name = "base"
+    # Parameter-name prefix of the trained encoder, so of its checkpoint arrays.
+    encoder_prefix = "enc"
 
     def __init__(self, enc_cfg: EncoderConfig, in_size: int,
                  cfg: FrameworkConfig, seed: int):
-        enc_cfg.validate()
+        self.encoder = ConvEncoder(enc_cfg, in_size, substream(seed, "encoder"),
+                                   prefix=self.encoder_prefix)
         cfg.validate()
         self.cfg = cfg
         self.hall: list[tuple[Parameter, Parameter]] = []
@@ -271,7 +277,7 @@ class _FrameworkBase:
         return self.encoder
 
     def trainable_parameters(self) -> list[Parameter]:
-        raise NotImplementedError
+        return self.encoder.parameters() + self._hall_params()
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Every weight array, keyed by its unique parameter name."""
@@ -329,25 +335,18 @@ class MoCoFramework(_FrameworkBase):
     """
 
     name = "moco"
+    encoder_prefix = "query"
 
     def __init__(self, enc_cfg: EncoderConfig, in_size: int,
                  cfg: FrameworkConfig, seed: int):
         super().__init__(enc_cfg, in_size, cfg, seed)
-        self.query = ConvEncoder(enc_cfg, in_size, substream(seed, "encoder"),
-                                 prefix="query")
+        self.query = self.encoder  # the same encoder, by its MoCo name
         self.key = ConvEncoder(enc_cfg, in_size, substream(seed, "encoder"),
                                prefix="key")
         self.queue = FeatureQueue(cfg.queue_size, enc_cfg.feature_dim)
 
-    @property
-    def feature_encoder(self) -> ConvEncoder:
-        return self.query
-
     def prime(self, x) -> None:
         self.queue.push(self.encode_keys(x))
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return self.query.parameters() + self._hall_params()
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         out = super().named_tensors()
@@ -398,15 +397,6 @@ class SimCLRFramework(_FrameworkBase):
 
     name = "simclr"
 
-    def __init__(self, enc_cfg: EncoderConfig, in_size: int,
-                 cfg: FrameworkConfig, seed: int):
-        super().__init__(enc_cfg, in_size, cfg, seed)
-        self.encoder = ConvEncoder(enc_cfg, in_size, substream(seed, "encoder"),
-                                   prefix="enc")
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return self.encoder.parameters() + self._hall_params()
-
     def forward_loss(self, x1, x2, lambdas):
         b = np.asarray(x1).shape[0]
         if b < 2:
@@ -430,8 +420,6 @@ class SimSiamFramework(_FrameworkBase):
     def __init__(self, enc_cfg: EncoderConfig, in_size: int,
                  cfg: FrameworkConfig, seed: int):
         super().__init__(enc_cfg, in_size, cfg, seed)
-        self.encoder = ConvEncoder(enc_cfg, in_size, substream(seed, "encoder"),
-                                   prefix="enc")
         d = enc_cfg.feature_dim
         hidden = max(1, d // PREDICTOR_HIDDEN_DIVISOR)
         self.predictor = MLP(d, hidden, d, substream(seed, "predictor"), prefix="pred")

@@ -1,10 +1,14 @@
 """The fast entries of `tools/digests.py` against its committed reference.
 
 The full check (`PYTHONPATH=src python3 tools/digests.py --check`) trains
-every recipe; these four entries take under 1 s and pin the augmentation
-pipeline's bytes, every op's gradcheck error, every recipe's freshly
-built weights and the chunked encoder stage's forward and backward.
-`gradcheck/framework_suite` (~13 s) is left to the full check.
+every recipe.  These eight entries take about 2 s.  Four pin the
+augmentation pipeline's bytes, every op's gradcheck error, every recipe's
+freshly built weights and the chunked encoder stage's forward and
+backward.  The four `eval/*` entries pin the eval pass: a one-epoch desk
+moco checkpoint's `extract_features` and `_encode_view_pairs` features
+and the reports that `hcl probe` and `hcl metrics` write from them.
+`gradcheck/framework_suite` (~13 s) and the pretrain runs are left to
+the full check.
 """
 
 import importlib.util
@@ -34,3 +38,10 @@ def digests():
                                           ("tensor/stage_chunks", "_stage_chunks")])
 def test_entry_matches_reference(digests, entry, build):
     assert digests._sha(getattr(digests, build)()) == digests.REFERENCE[entry]
+
+
+def test_eval_unit_matches_reference(digests, tmp_path):
+    """The `eval/*` entries, through the real `hcl probe` and `hcl metrics`."""
+    got: dict[str, str] = {}
+    digests._eval_unit(tmp_path, digests._data(tmp_path, "desk", digests.DESK["data"]), got)
+    assert got == {k: v for k, v in digests.REFERENCE.items() if k.startswith("eval/")}

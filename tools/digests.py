@@ -11,8 +11,10 @@ It builds, in a temporary directory and at seed 1:
   the quickstart config (2 epochs, per-epoch checkpoints), each as its
   `metrics.csv` / `checkpoint.hcl` pair;
 - the `eval` unit: a desk moco checkpoint (1 epoch) encoding an 8 x 64
-  synthetic eval set, with its features, `probe_report.csv`,
-  `metrics_report.csv` and `_encode_view_pairs` features;
+  synthetic eval set: the `probe_report.csv` and `metrics_report.csv`
+  that `hcl probe` and `hcl metrics` write (run through `cli.main`, their
+  prints kept off stdout), and the `extract_features` and
+  `_encode_view_pairs` features behind them;
 - `extract_features` (features then labels) and `_encode_view_pairs` on
   the quickstart moco checkpoint, whose 16 px input takes the resize path;
 - `op_gradcheck_suite(seed=0)`: one digest over every entry's name and
@@ -50,7 +52,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -58,7 +62,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from hcl import cli, metrics  # noqa: E402
+from hcl import cli  # noqa: E402
 from hcl.augment import AugmentConfig, augment_batch  # noqa: E402
 from hcl.config import config_from_dict  # noqa: E402
 from hcl.data import generate_synthetic, load_cifar_batch  # noqa: E402
@@ -191,33 +195,28 @@ def _run(cfg, records, out: Path) -> tuple[str, str]:
 
 
 def _eval_unit(work: Path, data_path: Path, out: dict) -> None:
-    """The benchmark's `eval` pass: probe and metrics reports over the eval
-    set, encoded by a desk moco checkpoint."""
-    _run(_config(DESK, "moco", True, epochs=1), load_cifar_batch(data_path),
-         work / "eval-ckpt")
-    fw, ck_cfg = load_pretrained(work / "eval-ckpt" / "checkpoint.hcl")
-    cfg = config_from_dict({"seed": SEED, "data": EVAL_DATA})
-    records = load_cifar_batch(_data(work, "eval", EVAL_DATA))
-    feats, labels = extract_features(fw, records, ck_cfg.augment.out_size)
-    pr = cfg.probe
-    res = metrics.linear_probe(feats, labels, seed=cfg.seed, epochs=pr.epochs, lr=pr.lr,
-                               momentum=pr.sgd_momentum, weight_decay=pr.weight_decay,
-                               batch_size=pr.batch_size, val_fraction=pr.val_fraction)
-    metrics.write_report(work / "probe_report.csv", [
-        ("probe_top1", res.top1, None, res.n_val),
-        *[(f"probe_class_{c}_top1", float(a), None, res.n_val)
-          for c, a in enumerate(res.per_class)]])
-    fa, fb = cli._encode_view_pairs(fw, records, cfg)
-    t = cfg.metrics.t
-    rep = metrics.uniformity(feats, t=t)
-    rep2d = metrics.uniformity(metrics.project_2d(feats, cfg.seed), t=t)
-    metrics.write_report(work / "metrics_report.csv", [
-        ("cosine_positive_mean", float(np.mean(np.sum(fa * fb, axis=1))), None, fa.shape[0]),
-        (f"uniformity_{rep.mode}", rep.value, rep.t, rep.n_samples),
-        ("uniformity_2d", rep2d.value, rep2d.t, rep2d.n_samples)])
+    """The benchmark's `eval` pass: `hcl probe` and `hcl metrics` over the
+    eval set, encoded by a desk moco checkpoint, plus the features and view
+    pairs behind their reports."""
+    ckpt = work / "eval-ckpt" / "checkpoint.hcl"
+    _run(_config(DESK, "moco", True, epochs=1), load_cifar_batch(data_path), ckpt.parent)
+    raw = {"seed": SEED, "data": EVAL_DATA}
+    eval_path = _data(work, "eval", EVAL_DATA)
+    fw, ck_cfg = load_pretrained(ckpt)
+    records = load_cifar_batch(eval_path)
+    feats, _ = extract_features(fw, records, ck_cfg.augment.out_size)
     out["eval/features"] = _sha(feats.tobytes())
-    out["eval/probe_report.csv"] = _sha((work / "probe_report.csv").read_bytes())
-    out["eval/metrics_report.csv"] = _sha((work / "metrics_report.csv").read_bytes())
+    config = work / "eval.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    for command, report in (("probe", "probe_report.csv"), ("metrics", "metrics_report.csv")):
+        argv = [command, "--config", str(config), "--data", str(eval_path),
+                "--checkpoint", str(ckpt), "--out", str(work / f"eval-{command}")]
+        with contextlib.redirect_stdout(io.StringIO()):  # stdout stays one JSON object
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"hcl {' '.join(argv)} exited {code}")
+        out[f"eval/{report}"] = _sha((work / f"eval-{command}" / report).read_bytes())
+    fa, fb = cli._encode_view_pairs(fw, records, config_from_dict(raw))
     out["eval/encode_view_pairs"] = _sha(fa.tobytes() + fb.tobytes())
 
 
