@@ -100,7 +100,7 @@ def _cmd_probe(args) -> int:
 def _encode_view_pairs(fw, records, cfg: ExperimentConfig):
     """Features of two augmented views per record, for positive-pair stats;
     views take ``cfg.augment`` at the checkpoint's ``out_size``."""
-    enc = fw.feature_encoder
+    enc = fw.encoder
     aug = dataclasses.replace(cfg.augment, out_size=enc.in_size)
     fa, fb = [], []
     for lo in range(0, len(records), EVAL_BATCH):

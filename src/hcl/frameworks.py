@@ -23,7 +23,7 @@ extrapolation branch and exposes the same interface:
       momentum framework's ``queue.entries``), and the one restore path
       that checks every array, the queue too, before writing any.
 
-  encoder / feature_encoder / trainable_parameters()
+  encoder / trainable_parameters()
       The one trained encoder, built by the base with the class's
       ``encoder_prefix`` on its parameter names; evaluation uses it, and
       the optimizer trains it and the hallucinator head.
@@ -236,6 +236,11 @@ def _row_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.sum(a * b, axis=1)))
 
 
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` scaled to unit norm, off the tape."""
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
 class _FrameworkBase:
     name = "base"
     # Parameter-name prefix of the trained encoder, so of its checkpoint arrays.
@@ -272,12 +277,8 @@ class _FrameworkBase:
     def prime(self, x) -> None:
         return None
 
-    @property
-    def feature_encoder(self) -> ConvEncoder:
-        return self.encoder
-
     def trainable_parameters(self) -> list[Parameter]:
-        return self.encoder.parameters() + self._hall_params()
+        return self.encoder.parameters() + [p for layer in self.hall for p in layer]
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Every weight array, keyed by its unique parameter name."""
@@ -302,9 +303,6 @@ class _FrameworkBase:
         return lambda: self.forward_loss(x1, x2, lambdas)[0]
 
     # -- helpers ------------------------------------------------------
-
-    def _hall_params(self) -> list[Parameter]:
-        return [p for layer in self.hall for p in layer]
 
     def _mix(self, plain: Tensor, extra: Tensor) -> Tensor:
         w = self.cfg.pair_weight
@@ -429,8 +427,7 @@ class SimSiamFramework(_FrameworkBase):
         return (2, batch_size)
 
     def trainable_parameters(self) -> list[Parameter]:
-        return (self.encoder.parameters() + self.predictor.parameters()
-                + self._hall_params())
+        return super().trainable_parameters() + self.predictor.parameters()
 
     def target_features(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
         """Stop-gradient targets for each direction, as plain arrays.
@@ -440,9 +437,8 @@ class SimSiamFramework(_FrameworkBase):
         so differencing the raw loss would measure a different function.
         """
         with no_tape():
-            z1 = self.encoder.forward(Tensor(x1))
-            z2 = self.encoder.forward(Tensor(x2))
-        return z2.data.copy(), z1.data.copy()
+            z1, z2 = (self.encoder.forward(Tensor(x)).data for x in (x1, x2))
+        return z2, z1
 
     def loss_closure(self, x1, x2, lambdas):
         frozen = self.target_features(x1, x2)
@@ -457,27 +453,17 @@ class SimSiamFramework(_FrameworkBase):
         q = p if after else za
         q_hat = hallucinate(q, extrapolate(q, target, lams), self.hall)
         extra = negative_cosine(q_hat if after else self.predictor.forward(q_hat), target)
-        qh = q_hat.data / np.linalg.norm(q_hat.data, axis=1, keepdims=True)
-        tn = target.data / np.linalg.norm(target.data, axis=1, keepdims=True)
-        return self._mix(plain, extra), _row_cosine(qh, tn)
+        sim = _row_cosine(_unit_rows(q_hat.data), _unit_rows(target.data))
+        return self._mix(plain, extra), sim
 
     def forward_loss(self, x1, x2, lambdas, frozen_targets=None):
-        z1 = self.encoder.forward(Tensor(x1))
-        z2 = self.encoder.forward(Tensor(x2))
-        if frozen_targets is None:
-            t1, t2 = Tensor(z2.data), Tensor(z1.data)
-        else:
-            t1, t2 = Tensor(frozen_targets[0]), Tensor(frozen_targets[1])
-        if self.cfg.hallucinator:
-            lams_a, lams_b = lambdas[0], lambdas[1]
-        else:
-            lams_a = lams_b = None
-        fwd, sim_a = self._direction(z1, t1, lams_a)
-        bwd, sim_b = self._direction(z2, t2, lams_b)
+        z1, z2 = (self.encoder.forward(Tensor(x)) for x in (x1, x2))
+        t1, t2 = frozen_targets or (z2.data, z1.data)
+        lams_a, lams_b = lambdas if self.cfg.hallucinator else (None, None)
+        fwd, sim_a = self._direction(z1, Tensor(t1), lams_a)
+        bwd, sim_b = self._direction(z2, Tensor(t2), lams_b)
         loss = scalar_multiply(add(fwd, bwd), 0.5)
-        z1n = z1.data / np.linalg.norm(z1.data, axis=1, keepdims=True)
-        z2n = z2.data / np.linalg.norm(z2.data, axis=1, keepdims=True)
-        sim_qk = _row_cosine(z1n, z2n)
+        sim_qk = _row_cosine(_unit_rows(z1.data), _unit_rows(z2.data))
         diag = {
             "sim_qk": sim_qk,
             "sim_qhat_k": (0.5 * (sim_a + sim_b) if sim_a is not None else sim_qk),

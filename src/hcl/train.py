@@ -181,8 +181,9 @@ def pretrain(cfg: ExperimentConfig, records: np.ndarray,
     produces rows identical to the uninterrupted run.  An existing
     ``metrics.csv`` is first cut back to the rows before the checkpoint.
     The configuration must equal the checkpoint's except ``train.epochs``,
-    which may not fall below the checkpoint's next epoch; a rejected
-    resume touches no file.
+    which may not fall below the checkpoint's next epoch, and the records
+    must give the checkpoint's steps per epoch; a rejected resume touches
+    no file.
 
     Before step 0 the framework is primed with the first batch's second
     views, ``fw.prime(x2)``: MoCo fills its empty queue with that batch's
@@ -215,6 +216,11 @@ def pretrain(cfg: ExperimentConfig, records: np.ndarray,
             raise ValueError(
                 f"train.epochs {tc.epochs} is below the checkpoint's next "
                 f"epoch {start_epoch}; a resume can only continue or extend a run")
+        if global_step != start_epoch * steps_per_epoch:
+            raise ValueError(
+                f"checkpoint is at global step {global_step}, but epoch {start_epoch} "
+                f"starts at step {start_epoch * steps_per_epoch} on {len(records)} "
+                "records; a resume needs the checkpoint's steps per epoch")
         fw.load_state_arrays(arrays)
         opt.load_state_arrays(arrays)
 
@@ -292,6 +298,6 @@ def extract_features(fw: _FrameworkBase, records: np.ndarray,
     Images are resized (never randomly cropped), encoded, and
     L2-normalized.  Weights are read, not written.
     """
-    feats = [embed(fw.feature_encoder, eval_view(records["image"][lo:lo + EVAL_BATCH], out_size))
+    feats = [embed(fw.encoder, eval_view(records["image"][lo:lo + EVAL_BATCH], out_size))
              for lo in range(0, len(records), EVAL_BATCH)]
     return np.concatenate(feats, axis=0), records["label"].astype(np.int64)

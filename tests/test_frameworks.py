@@ -343,7 +343,7 @@ class TestHallucinatedPositive:
         x1, x2 = _batch(rng), _batch(rng)
         fw = _small(name, seed=5, hallucinator_layers=2, pair_weight=0.3)
         lams = rng.uniform(0.0, 1.0, 4)
-        q = l2_normalize(fw.feature_encoder.forward(Tensor(x1)))
+        q = l2_normalize(fw.encoder.forward(Tensor(x1)))
         tau = fw.cfg.temperature
         if name == "moco":
             fw.prime(x2)

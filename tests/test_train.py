@@ -307,6 +307,18 @@ class TestPretrain:
             pretrain(other, records, tmp_path / "b", resume=res.checkpoint_path)
         assert "train.epochs" not in str(err.value)
 
+    def test_resume_rejects_a_dataset_of_another_size(self, tmp_path):
+        # 2 steps per epoch in the checkpoint, 4 on twice the records: the
+        # resumed epoch would run a hybrid of the two schedules.
+        cfg = _tiny_cfg(framework="simclr", train={"epochs": 2, "checkpoint_every": 1})
+        records = _tiny_records(cfg)
+        pretrain(cfg, records, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        more = np.concatenate([records, records])
+        with pytest.raises(ValueError, match=r"global step 2, .* step 4 on 32 records"):
+            pretrain(cfg, more, tmp_path, resume=tmp_path / "checkpoint_ep1.hcl")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_resume_may_extend_epochs(self, tmp_path):
         cfg = _tiny_cfg(train={"epochs": 1})
         records = _tiny_records(cfg)
@@ -415,12 +427,14 @@ class TestFeatureExtraction:
         np.testing.assert_allclose(np.linalg.norm(f1, axis=1), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("framework", FRAMEWORKS)
-    def test_feature_encoder(self, framework):
+    def test_evaluated_encoder_is_the_trained_one(self, framework):
         cfg = _tiny_cfg(framework=framework)
         fw = build_framework(cfg.framework, cfg.encoder, cfg.augment.out_size,
                              cfg.framework_config(), cfg.seed)
-        expected = fw.query if framework == "moco" else fw.encoder
-        assert fw.feature_encoder is expected
+        trained = {id(p) for p in fw.trainable_parameters()}
+        assert {id(p) for p in fw.encoder.parameters()} <= trained
+        if framework == "moco":
+            assert fw.encoder is fw.query
 
 
 def _on_glibc() -> bool:

@@ -36,11 +36,18 @@ It builds, in a temporary directory and at seed 1:
   chunks (5 of 4 images, and 6 of 3 with a last one of 2): the no-tape
   and taped outputs and the gradients of the input, weights and bias
   (~0.1 s).  The chunk size does not enter the bytes.
+- `frameworks/steps`: one step of each recipe, with the hallucinator off
+  and on, and of SimSiam with `hallucinate_after_predictor`, on
+  `framework_gradcheck_suite`'s encoder and batch with λ from
+  `draw_lambdas`: the loss, diagnostics, gradients, `loss_closure` value
+  and state after `after_update` (~0.3 s).
 
 It prints them as JSON.  With ``--check`` it compares them against the
-reference below, names every entry that differs, and exits 1 if any does.
-BLAS is pinned to one thread before numpy loads.  The reference was taken
-with OpenBLAS 0.3.31 and numpy 2.4.6 on x86-64; another BLAS build may
+reference below, names every entry that differs, and exits 1 if any does;
+when numpy's OpenBLAS runs another kernel than ``REFERENCE_KERNEL`` it
+first prints one stderr line naming both.  BLAS is pinned to one thread
+before numpy loads.  The reference was taken with OpenBLAS 0.3.31 and
+numpy 2.4.6 on x86-64, kernel SkylakeX; another BLAS build or kernel may
 round GEMMs differently and so change every digest after the data files.
 """
 
@@ -53,6 +60,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -66,8 +74,10 @@ from hcl import cli  # noqa: E402
 from hcl.augment import AugmentConfig, augment_batch  # noqa: E402
 from hcl.config import config_from_dict  # noqa: E402
 from hcl.data import generate_synthetic, load_cifar_batch  # noqa: E402
-from hcl.frameworks import build_framework  # noqa: E402
+from hcl.encoder import EncoderConfig  # noqa: E402
+from hcl.frameworks import FRAMEWORK_NAMES, FrameworkConfig, build_framework  # noqa: E402
 from hcl.gradcheck import framework_gradcheck_suite, op_gradcheck_suite  # noqa: E402
+from hcl.hallucinator import ExtrapolationConfig  # noqa: E402
 from hcl.rng import substream  # noqa: E402
 from hcl.tensor import Tensor, conv_relu_pool, multiply, no_tape, sum_  # noqa: E402
 from hcl.train import extract_features, load_pretrained, pretrain  # noqa: E402
@@ -168,7 +178,23 @@ REFERENCE = {
         "ef0b1cecfff21510b8c17e982d0529392ae5d19e222c6f4f61ff4b6617953a39",
     "tensor/stage_chunks":
         "f8987b7e577a7721152e306fe262425e6de46d1e2b13b8e27b0a4495448681ab",
+    "frameworks/steps":
+        "7a0b8e8a23ae1dcd1280fbb47ac8c743ae662b732b3be1041a05e794bbd1e2f2",
 }
+# The OpenBLAS kernel that `REFERENCE` was taken on, as `_blas_kernel()` names it.
+REFERENCE_KERNEL = "SkylakeX"
+
+
+def _blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS chose at load (or that
+    ``OPENBLAS_CORETYPE`` forced), or "unknown" for another BLAS build."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def _sha(data: bytes) -> str:
@@ -275,6 +301,37 @@ def _stage_chunks() -> bytes:
     return b"".join(parts)
 
 
+def _framework_steps() -> bytes:
+    """One step of each recipe, hallucinator off and on, and of SimSiam
+    with `hallucinate_after_predictor`, on `framework_gradcheck_suite`'s
+    encoder and batch with λ from `draw_lambdas`: the `loss_closure` value,
+    the loss, the diagnostics, each trainable parameter's gradient and
+    the `state_arrays()` after `after_update`, names sorted."""
+    enc_cfg = EncoderConfig(channels=(4,), kernel=3, hidden_dim=16, feature_dim=8)
+    rng = np.random.default_rng(SEED)
+    x1, x2 = rng.random((4, 3, 8, 8)), rng.random((4, 3, 8, 8))
+    cases = [(name, hall, False) for name in FRAMEWORK_NAMES for hall in (False, True)]
+    parts = []
+    for name, hall, after in cases + [("simsiam", True, True)]:
+        cfg = FrameworkConfig(hallucinator=hall, hallucinator_layers=2, queue_size=16,
+                              extrapolation=ExtrapolationConfig(0.0, 1.0),
+                              hallucinate_after_predictor=after)
+        fw = build_framework(name, enc_cfg, 8, cfg, seed=2)
+        fw.prime(x2)
+        lambdas = fw.draw_lambdas(np.random.default_rng(SEED), 4)
+        closure = fw.loss_closure(x1, x2, lambdas)().data
+        loss, diag, aux = fw.forward_loss(x1, x2, lambdas)
+        loss.backward()
+        params = sorted(fw.trainable_parameters(), key=lambda p: p.name)
+        fw.after_update(aux)
+        state = fw.state_arrays()
+        parts.append(f"{name} {hall} {after}\n".encode() + closure.tobytes() + loss.data.tobytes())
+        parts += [f"{k} {float(v).hex()}\n".encode() for k, v in sorted(diag.items())]
+        parts += [f"{p.name}\n".encode() + p.grad.tobytes() for p in params]
+        parts += [f"{k}\n".encode() + state[k].tobytes() for k in sorted(state)]
+    return b"".join(parts)
+
+
 def compute(work: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     paths = {name: _data(work, name, base["data"])
@@ -300,6 +357,7 @@ def compute(work: Path) -> dict[str, str]:
     out["augment/adversarial"] = _sha(_adversarial_views())
     out["init/state"] = _sha(_init_state())
     out["tensor/stage_chunks"] = _sha(_stage_chunks())
+    out["frameworks/steps"] = _sha(_framework_steps())
     return out
 
 
@@ -313,6 +371,10 @@ def main() -> int:
     print(json.dumps(got, indent=1))
     if not args.check:
         return 0
+    kernel = _blas_kernel()
+    if kernel != REFERENCE_KERNEL:
+        print(f"BLAS kernel {kernel}; the reference was taken on {REFERENCE_KERNEL}",
+              file=sys.stderr)
     bad = [key for key in sorted(REFERENCE.keys() | got.keys())
            if REFERENCE.get(key) != got.get(key)]
     for key in bad:
