@@ -16,6 +16,7 @@ identical file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -58,7 +59,7 @@ class _Reader:
         self.path = path
 
     def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
+        if n < 0 or self.off + n > len(self.blob):
             raise ValueError(f"{self.path}: truncated checkpoint")
         out = self.blob[self.off:self.off + n]
         self.off += n
@@ -87,7 +88,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"{path}: array {name!r} appears twice")
         ndim = r.u32()
         shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        count = math.prod(shape)  # a Python int: no overflow
         data = np.frombuffer(r.take(count * 8), dtype="<f8").astype(np.float64)
         arrays[name] = data.reshape(shape)
     try:

@@ -45,15 +45,19 @@ and saved buffer; per encoder stage, `conv_relu_pool` holds a 1-byte
 relu mask and its pooled output, and no `colsT`, conv or relu output.
 Its forward builds those one image chunk at a time (`_images_per_chunk`,
 ~1 MiB of `colsT`), so it peaks at one chunk's `colsT` plus its conv
-output, beside the mask and pooled output it is filling.  Its backward
-is not chunked: it rebuilds the whole batch's `colsT` from the stage
-input, which the node holds as its parent, and frees it before col2im.
+output, beside the mask and pooled output it is filling.  Its backward,
+like `conv2d`'s, which also frees `colsT` after its forward GEMM,
+rebuilds `colsT` from the stage input, which the node holds as its
+parent, in blocks of rows (`_row_blocks`, ~4 MiB each, the last up to
+twice that), and runs its input gradient over image chunks of ~1 MiB of
+`colsT`'s gradient twin, so no whole-batch `colsT` or twin is built.
 That re-read rests on the rule every op's backward already relies on
 when it reads a parent's `data`: no op output is mutated after
 creation, and Parameters change only in the optimizer step, after
 backward.  Backward frees the rest
 layer by layer as it walks back, so the step peaks in backward at what
-forward held plus one stage's gradient buffers and its rebuilt `colsT`.
+forward held plus one stage's gradient rows, padded input and current
+block or chunk.
 It leaves only the parameters' gradients and whatever the caller still
 holds.  Importing this module on glibc
 raises malloc's mmap and trim thresholds (`mallopt`) for the whole
@@ -76,8 +80,8 @@ import numpy as np
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # glibc caps the mmap threshold at 32 MiB on 64-bit builds; the largest
-# per-step array at the desk config (the second stage's `colsT`, rebuilt
-# in backward, and its gradient twin) is ~19 MB.
+# per-step array at the desk config (the first stage's gradient rows in
+# backward) is ~8 MB.
 _MMAP_THRESHOLD = 32 * 1024 * 1024
 _TRIM_THRESHOLD = 256 * 1024 * 1024
 # `conv_relu_pool`'s forward runs over as many images at a time as keep
@@ -85,6 +89,11 @@ _TRIM_THRESHOLD = 256 * 1024 * 1024
 # GEMM columns (see `_images_per_chunk`).
 _CHUNK_COLS_BYTES = 1024 * 1024
 _CHUNK_COLS_ALIGN = 64
+# `_conv_backward` builds `colsT` for its weight GEMM in blocks of rows
+# (see `_row_blocks`).
+_BLOCK_ROWS_BYTES = 4 * 1024 * 1024
+_BLOCK_ROWS_ALIGN = 8
+_SMALL_GEMM_MACS = 10**6
 
 
 def _retain_heap() -> None:
@@ -465,16 +474,36 @@ def _conv_geometry(kind: str, x: Tensor, w: Tensor, b: Tensor | None, padding: i
     return n, f, kh, kw, p, ho, wo
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """Channel-major im2col of NCHW `x`: (C*kh*kw, N*Ho*Wo), filled by
-    kh*kw block copies from a padded (C, N, H+2p, W+2p) buffer."""
+def _padded(x: np.ndarray, p: int) -> np.ndarray:
+    """NCHW `x` as a zero-padded, channel-major (C, N, H+2p, W+2p) buffer."""
     n, c, h, wd = x.shape
     xpT = np.zeros((c, n, h + 2 * p, wd + 2 * p))
     xpT[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
-    colsT = np.empty((c, kh, kw, n, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            colsT[:, i, j] = xpT[:, :, i : i + ho, j : j + wo]
+    return xpT
+
+
+def _fill_cols(out: np.ndarray, xpT: np.ndarray, r0: int, kh: int, kw: int) -> None:
+    """Rows [r0, r0 + len(out)) of the channel-major im2col matrix of the
+    padded input `xpT`, written into `out`, an (rows, N, Ho, Wo) array:
+    one strided copy per tap.  Row r is channel r // (kh*kw), tap
+    r % (kh*kw)."""
+    ho, wo = out.shape[2:]
+    taps = kh * kw
+    for t in range(taps):
+        s = (t - r0) % taps  # the block's first row of tap t
+        if s < len(out):
+            c0 = (r0 + s) // taps
+            rows = out[s::taps]
+            i, j = divmod(t, kw)
+            rows[...] = xpT[c0 : c0 + len(rows), :, i : i + ho, j : j + wo]
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """Channel-major im2col of NCHW `x`: (C*kh*kw, N*Ho*Wo), filled by
+    kh*kw block copies from a padded (C, N, H+2p, W+2p) buffer."""
+    n, c = x.shape[:2]
+    colsT = np.empty((c * kh * kw, n, ho, wo))
+    _fill_cols(colsT, _padded(x, p), 0, kh, kw)
     return colsT.reshape(c * kh * kw, n * ho * wo)
 
 
@@ -512,20 +541,57 @@ def _images_per_chunk(rows: int, ho: int, wo: int) -> int:
     return max(unit, fit - fit % unit)
 
 
-def _conv_backward(gmat: np.ndarray, cols: list, x: Tensor, w: Tensor, b: Tensor | None,
+def _row_blocks(rows: int, m: int, f: int) -> list[tuple[int, int]]:
+    """Row ranges of the weight-gradient GEMM `colsT[r0:r1] @ gmat`, for a
+    (rows, m) `colsT` and (m, f) `gmat`: blocks of a multiple of
+    `_BLOCK_ROWS_ALIGN` rows within `_BLOCK_ROWS_BYTES` (4 MiB), the last
+    one taking the remainder; one block when such a block's product would
+    not exceed `_SMALL_GEMM_MACS` multiply-adds.  Starting every block on
+    such a multiple runs each row through the kernel the whole product
+    would use, and OpenBLAS sends products of at most 10**6 multiply-adds
+    to small-matrix kernels that round otherwise."""
+    fit = _BLOCK_ROWS_BYTES // (max(m, 1) * 8)
+    step = max(_BLOCK_ROWS_ALIGN, fit - fit % _BLOCK_ROWS_ALIGN)
+    if step >= rows or step * m * f <= _SMALL_GEMM_MACS:
+        return [(0, rows)]
+    starts = range(0, rows - step + 1, step)
+    return list(zip(starts, [*starts[1:], rows]))
+
+
+def _conv_backward(gmat: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
                    p: int, ho: int, wo: int) -> None:
     """The convolution backward of `conv2d` and `conv_relu_pool`, from the
-    (N*Ho*Wo, F) output-gradient rows `gmat` and the forward's `colsT`,
-    passed as the only item of `cols`: popped here, so it is freed right
-    after the weight GEMM and before its gradient twin is made.  The bias
-    gradient sums `gmat`'s rows; the input gradient is the other GEMM and
-    a col2im."""
-    w._accumulate((cols.pop() @ gmat).T.reshape(w.shape))
+    (N*Ho*Wo, F) output-gradient rows `gmat` and the input `x.data`.
+
+    The weight gradient rebuilds `colsT` from `x.data` in row blocks
+    (`_row_blocks`) and runs one GEMM per block, never split along
+    N*Ho*Wo; the bias gradient sums `gmat`'s rows; the input gradient
+    runs the other GEMM and col2im one image chunk at a time
+    (`_images_per_chunk`).  Every element is summed as in one whole-batch
+    pass, so the bits are those of the unsplit GEMMs."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    rows, m = c * kh * kw, n * ho * wo
+    blocks = _row_blocks(rows, m, f)
+    xpT = _padded(x.data, p)
+    block = np.empty((max(r1 - r0 for r0, r1 in blocks), n, ho, wo))
+    gwT = np.empty((rows, f))
+    for r0, r1 in blocks:
+        _fill_cols(block[: r1 - r0], xpT, r0, kh, kw)
+        gwT[r0:r1] = block[: r1 - r0].reshape(r1 - r0, m) @ gmat
+    del block, xpT
+    w._accumulate(gwT.T.reshape(w.shape))
     if b is not None:
         b._accumulate(gmat.sum(axis=0))
     if x.requires_grad:
-        wmat = w.data.reshape(len(w.data), -1)
-        x._accumulate(_col2im(wmat.T @ gmat.T, x.shape, *w.shape[2:], p, ho, wo))
+        wmat = w.data.reshape(f, rows)
+        step = _images_per_chunk(rows, ho, wo)
+        gx = np.empty(x.shape)
+        for i in range(0, n, step):
+            k = min(step, n - i)
+            gcolsT = wmat.T @ gmat[i * ho * wo : (i + k) * ho * wo].T
+            gx[i : i + k] = _col2im(gcolsT, (k, c, h, wd), kh, kw, p, ho, wo)
+        x._accumulate(gx)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -> Tensor:
@@ -535,19 +601,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -
     pixel apart, so the output is (N, F, H+2p-kh+1, W+2p-kw+1).
     Implemented as one GEMM over a channel-major im2col matrix `colsT` of
     shape (C*kh*kw, N*Ho*Wo), filled by kh*kw block copies from a padded
-    (C, N, H+2p, W+2p) buffer, so the product is already (F, N, Ho, Wo).
-    Backward is two GEMMs plus a col2im of kh*kw block adds, in the same
-    (i, j) order as a window-by-window scatter.  The GEMMs take their
-    operands in the opposite roles to a row-major (N*Ho*Wo, C*kh*kw)
-    im2col; blocked BLAS kernels round both the same, but small products
-    that BLAS sends to size-specific kernels may differ in the last bit.
+    (C, N, H+2p, W+2p) buffer, so the product is already (F, N, Ho, Wo);
+    `colsT` is freed right after it.  Backward (`_conv_backward`) is two
+    GEMMs plus a col2im of kh*kw block adds, in the same (i, j) order as
+    a window-by-window scatter: it rebuilds `colsT` in row blocks for the
+    weight GEMM and runs the other GEMM and col2im in image chunks, with
+    the bits of whole-batch GEMMs.  The GEMMs take their operands in the
+    opposite roles to a row-major (N*Ho*Wo, C*kh*kw) im2col; blocked BLAS
+    kernels round both the same, but small products that BLAS sends to
+    size-specific kernels may differ in the last bit.
     """
     n, f, kh, kw, p, ho, wo = _conv_geometry("conv2d", x, w, b, padding)
     colsT = _im2col(x.data, kh, kw, p, ho, wo)
     wmat = w.data.reshape(f, -1)
     out = wmat @ colsT
-    # one-shot: backward frees colsT before allocating gcolsT, its twin
-    saved = [colsT]
+    # backward rebuilds colsT from x.data (module docstring, "Memory")
     del colsT
     if b is not None:
         out += b.data[:, None]
@@ -555,7 +623,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0) -
 
     def backward(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        _conv_backward(gmat, saved, x, w, b, p, ho, wo)
+        _conv_backward(gmat, x, w, b, p, ho, wo)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, backward, "conv2d")
@@ -596,12 +664,12 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
     those of one whole-batch pass.
     Under the tape the op keeps a 1-byte relu mask (pre-activation > 0),
     stored in (N, Ho, Wo, F) order, and no conv or relu output; without a
-    tape it builds no mask.  Backward writes the width-doubled rows of
-    `g * 0.25` into both rows of each window with the mask multiplied in,
-    straight into conv2d's (N*Ho*Wo, F) gradient rows, rebuilds `colsT`
-    from `x.data`, and runs conv2d's own backward (`_conv_backward`) on
-    the whole batch.  On an empty batch it gives zero weight and bias
-    gradients.
+    tape it builds no mask.  Backward writes `g * 0.25` into all four
+    positions of each window with the mask multiplied in, by one
+    broadcast multiply straight into conv2d's (N*Ho*Wo, F) gradient rows,
+    and runs conv2d's own backward (`_conv_backward`), which rebuilds
+    `colsT` from `x.data` in row blocks.  On an empty batch it gives zero
+    weight and bias gradients.
     """
     n, f, kh, kw, p, ho, wo = _conv_geometry("conv_relu_pool", x, w, b, padding)
     if ho % 2 or wo % 2:
@@ -628,14 +696,13 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor, *, padding: int) -> Tensor:
         data[i : i + len(xs)] = pooled.transpose(1, 0, 2, 3)
 
     def backward(g):
-        # width-doubled rows of g * 0.25 masked into both rows of each
-        # window, written in conv2d's (N, Ho, Wo, F) gradient-row order
-        gmat = np.empty((n, ho // 2, 2, wo, f))
-        rows = np.repeat(g * 0.25, 2, axis=3).transpose(0, 2, 3, 1)[:, :, None]
+        # g * 0.25 masked into all four positions of each window, written
+        # in conv2d's (N, Ho, Wo, F) gradient-row order
+        gmat = np.empty((n, ho // 2, 2, wo // 2, 2, f))
+        rows = (g * 0.25).transpose(0, 2, 3, 1)[:, :, None, :, None]
         np.multiply(rows, mask.reshape(gmat.shape), out=gmat)
         del rows
-        cols = [_im2col(x.data, kh, kw, p, ho, wo)]
-        _conv_backward(gmat.reshape(n * ho * wo, f), cols, x, w, b, p, ho, wo)
+        _conv_backward(gmat.reshape(n * ho * wo, f), x, w, b, p, ho, wo)
 
     return _make(data, (x, w, b), backward, "conv_relu_pool")
 

@@ -1,5 +1,5 @@
-"""`tools/ab.py`'s summary and verdict on hand-made run records; no
-benchmark process is started."""
+"""`tools/ab.py`'s summary and verdict on hand-made run records, and the
+BLAS kernel it records; no benchmark process is started."""
 
 import importlib.util
 from pathlib import Path
@@ -92,3 +92,10 @@ class TestRunOutput:
         assert env["environment"] == {"seed": 3}
         assert result["correct"] is False and result["metrics"]["setup_s"]["value"] == 0.2
         assert ab.parse_output("error: no program\n") == (None, None)
+
+
+def test_blas_kernel_names_a_forced_kernel(ab, monkeypatch):
+    """The kernel recorded in the output is the one the runs' environment
+    gives OpenBLAS."""
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Sandybridge")
+    assert ab.blas_kernel() == "Sandybridge"

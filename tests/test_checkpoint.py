@@ -31,6 +31,11 @@ DAMAGE = [
      "array 'a' appears twice"),
     ("name_not_utf8", _file([_record(b"\xff", [1.0])]), "array name is not UTF-8"),
     ("meta_not_json", _file([_record(b"a", [1.0])], meta=b"not json"), "metadata is not JSON"),
+    # (2**32 - 1)**2 elements: a count in int64 wraps negative
+    ("shape_overflows_int64",
+     _file([struct.pack("<I", 1) + b"a" + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1)
+            + b"\0" * 16]),
+     "truncated checkpoint"),
 ]
 
 

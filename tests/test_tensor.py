@@ -1,7 +1,11 @@
 """Autodiff core: op semantics, broadcasting, tape behavior, error paths."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +406,62 @@ class TestConvReluPoolOracle:
             conv_relu_pool(x, w, Tensor(np.ones(2)), padding=1)
 
 
+def _blocked_against_whole(n, c, side, f):
+    """Names of the gradients in which `_conv_backward`, which builds
+    `colsT` in row blocks and runs its input gradient in image chunks,
+    differs from one whole-batch pass of its two GEMMs and col2im
+    (3x3 windows, padding 1)."""
+    rng = np.random.default_rng(n * 100 + c * 10 + f)
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in ((n, c, side, side), (f, c, 3, 3), (f,)))
+    gmat = rng.normal(size=(n * side * side, f))
+    hcl.tensor._conv_backward(gmat, x, w, b, 1, side, side)
+    colsT = hcl.tensor._im2col(x.data, 3, 3, 1, side, side)
+    gcolsT = w.data.reshape(f, -1).T @ gmat.T
+    want = {"gx": hcl.tensor._col2im(gcolsT, x.shape, 3, 3, 1, side, side),
+            "gw": (colsT @ gmat).T.reshape(w.shape), "gb": gmat.sum(axis=0)}
+    got = {"gx": x.grad, "gw": w.grad, "gb": b.grad}
+    return [k for k in want if not np.array_equal(got[k], want[k])]
+
+
+class TestBlockedBackward:
+    """`_conv_backward` in row blocks and image chunks against whole GEMMs."""
+
+    @pytest.mark.parametrize("n,c,side,f,blocks", [
+        (64, 3, 32, 16, 3), (64, 16, 16, 32, 4), (64, 32, 8, 64, 2),  # desk stages
+        (32, 3, 16, 8, 1), (32, 8, 8, 16, 1),  # quickstart stages
+        (20, 3, 32, 16, 1), (20, 16, 16, 32, 1),  # `tensor/stage_chunks` digest
+        # 9 and 81 rows: 8-row blocks leave a 1-row remainder to the last block
+        (64, 1, 32, 16, 1), (64, 9, 32, 16, 10),
+    ])
+    def test_bitwise_against_whole_gemms(self, n, c, side, f, blocks):
+        assert len(hcl.tensor._row_blocks(c * 9, n * side * side, f)) == blocks
+        assert _blocked_against_whole(n, c, side, f) == []
+
+    @pytest.mark.parametrize("n,c,f", [(64, 16, 32), (0, 3, 4), (1, 3, 4)])
+    def test_blocks_cover_the_rows_on_multiples_of_eight(self, n, c, f):
+        bounds = hcl.tensor._row_blocks(c * 9, n * 256, f)
+        assert [r0 for r0, _ in bounds[1:]] == [r1 for _, r1 in bounds[:-1]]
+        assert bounds[0][0] == 0 and bounds[-1][1] == c * 9
+        assert all(r0 % 8 == 0 for r0, _ in bounds)
+
+    @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+    def test_bitwise_under_other_blas_kernels(self, kernel):
+        """The desk stage-2 backward with OpenBLAS forced to another kernel,
+        in a subprocess at one BLAS thread: blocks that start off a multiple
+        of 8 rows round otherwise under Haswell."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel,
+               "OPENBLAS_NUM_THREADS": "1"}
+        code = ("import importlib.util as u; s = u.spec_from_file_location('t', %r); "
+                "m = u.module_from_spec(s); s.loader.exec_module(m); "
+                "print(m._blocked_against_whole(64, 16, 16, 32))" % __file__)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 def _stage_or_shape_error(fused, x, w, b, padding):
     try:
         return _stage_without_tape(fused, x, w, b, padding)
@@ -589,9 +649,10 @@ def _default_stage_bytes(n: int = 16):
     taped forward keeps, bytes its backward allocates at most).
 
     Forward keeps the 1-byte relu mask and the pooled output.  Backward
-    allocates the rebuilt colsT, the (F, N*Ho*Wo) gradient, the padded
-    col2im buffer, its incoming gradient and its input's gradient; the
-    col2im GEMM output takes colsT's place, as colsT is freed first.
+    allocates the rebuilt colsT (one row block holds all of it at batch
+    16), the (F, N*Ho*Wo) gradient, the padded input, its incoming
+    gradient and its input's gradient; the input gradient's image chunks
+    come after colsT is freed.
     """
     kept, working = [], []
     c, s = 3, 32
@@ -630,22 +691,45 @@ class TestTapeRelease:
 
     def test_conv2d_frees_cols_before_col2im(self):
         # colsT (72 rows) dwarfs x (8 channels) and the output (1 filter);
-        # if it lived through backward, it and its gradient twin would
-        # coexist and the peak would rise by about its size.
+        # forward frees it after its GEMM and backward rebuilds it, so if it
+        # lived through forward or beside its gradient twin the peak would
+        # rise to about twice its size.
         rng = np.random.default_rng(2)
         x = Tensor(rng.random((4, 8, 32, 32)), requires_grad=True)
         w = Parameter(rng.random((1, 8, 3, 3)))
         cols_bytes = 8 * 9 * 4 * 32 * 32 * 8
         tracemalloc.start()
         try:
+            base = tracemalloc.get_traced_memory()[0]
             loss = sum_(conv2d(x, w, padding=1))
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.5 * cols_bytes
+
+    @pytest.mark.parametrize("c,side,f", [(3, 32, 16), (16, 16, 32), (32, 8, 64)])
+    def test_desk_stage_backward_builds_cols_in_blocks(self, c, side, f):
+        # batch 64: rebuilding the whole batch's colsT while the (N*Ho*Wo, F)
+        # gradient rows are live takes more than both together; row blocks
+        # of at most 2 x 4 MiB and 1 MiB input-gradient chunks stay below
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(64, c, side, side)), requires_grad=True)
+        w, b = Parameter(rng.normal(size=(f, c, 3, 3))), Parameter(np.zeros(f))
+        g = Tensor(rng.normal(size=(64, f, side // 2, side // 2)))
+        m = 64 * side * side
+        cols_bytes, grad_bytes = c * 9 * m * 8, m * f * 8
+        tracemalloc.start()
+        try:
+            loss = sum_(multiply(conv_relu_pool(x, w, b, padding=1), g))
             forward = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             loss.backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - forward < cols_bytes / 2
+        assert peak - forward < cols_bytes + grad_bytes
 
     @staticmethod
     def _stage(seed, n, c, f):

@@ -14,10 +14,12 @@ parent first when i is even and the change first when it is odd.  Seeds are fixe
 before the first run: a run that reads ``correct: false`` or fails is
 recorded as it is, never replaced.
 
-The output holds both revisions, every run (its environment line, its
-correctness counts and raw metrics) and, per workload and end-to-end
-metric of BENCHMARK.json, the per-pair values, each side's median,
-quartiles and range, the change's wins and one verdict:
+The output holds both revisions, the OpenBLAS kernel the runs get
+(``blas_kernel``, read as `tools/digests.py` reads it), every run (its
+environment line, its correctness counts and raw metrics) and, per
+workload and end-to-end metric of BENCHMARK.json, the per-pair values,
+each side's median, quartiles and range, the change's wins and one
+verdict:
 
 - ``improved``: every change run beats every parent run;
 - ``regressed``: the change's median is worse than the parent's by more
@@ -73,6 +75,19 @@ def copy_worktree(dest: Path) -> None:
             shutil.copytree(src, dest / name, ignore=ignore)
         else:
             shutil.copy2(src, dest / name)
+
+
+def blas_kernel() -> str:
+    """The OpenBLAS kernel numpy loads under this environment, named by
+    `tools/digests.py`'s `_blas_kernel` in a subprocess, so that the
+    thread pinning that tool does on import stays out of this process and
+    of the runs it starts."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import importlib.util as u; s = u.spec_from_file_location('d', %r); "
+            "m = u.module_from_spec(s); s.loader.exec_module(m); print(m._blas_kernel())"
+            % str(ROOT / "tools" / "digests.py"))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def parse_output(stdout: str) -> tuple[dict | None, dict | None]:
@@ -217,6 +232,7 @@ def main(argv=None) -> int:
         dirty = bool(_git("status", "--porcelain", "--", *PATHS))
         change = {"rev": "worktree", "commit": _git("rev-parse", "HEAD"), "dirty": dirty}
 
+    kernel = blas_kernel()
     runs = []
     with tempfile.TemporaryDirectory(prefix="hcl-ab-") as tmp:
         dirs = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -240,12 +256,14 @@ def main(argv=None) -> int:
 
     summary = summarise(runs, bench["end_to_end"])
     out = {"parent": {"rev": args.parent, "commit": parent_commit}, "change": change,
-           "aa": args.aa, "seconds": seconds, "seeds": seeds, "workloads": workloads,
+           "aa": args.aa, "blas_kernel": kernel, "seconds": seconds, "seeds": seeds,
+           "workloads": workloads,
            "rule": "improved: every change run beats every parent run; regressed: the "
                    "change median is worse than the parent median by more than bound x "
                    "parent median; otherwise within bound",
            "summary": summary, "runs": runs}
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    print(f"BLAS kernel {kernel}")
     print(table(summary))
     return 0
 
